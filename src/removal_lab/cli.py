@@ -32,7 +32,7 @@ from .patterns import (
 from .ramsey import decide_dichotomy
 from .regularize import green_regularize, regular_model, regularity_recolor
 from .removal import induced_removal, inhomogeneous_reduce
-from .space import CAP_ENV_VAR, read_coloring, read_table, write_table
+from .space import CAP_ENV_VAR, read_coloring, read_table, write_coloring, write_table
 
 SCHEMA = 1
 
@@ -80,8 +80,6 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="removal-lab", description=__doc__)
     top.add_argument("--cap", type=_positive_int, help="override the ambient point cap")
-    top.add_argument("--threads", type=_positive_int, default=1,
-                     help="worker budget; results never depend on it")
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, **kw):
@@ -121,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = cmd("model", help="verified regular model for the color indicators")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--backend", choices=["strong", "decomp"], default="strong")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
 
@@ -129,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--eps-reg", type=float, default=0.05)
-    s.add_argument("--backend", choices=["strong", "decomp"], default="strong")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="path for the recolored coloring")
 
@@ -143,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--eps-rado", type=float, default=0.1)
     s.add_argument("--eps-reg", type=float, default=0.05)
-    s.add_argument("--backend", choices=["strong", "decomp"], default="strong")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--acknowledge-complexity", action="store_true",
                    help="run even if the complexity-1 criterion fails or cannot be decided")
@@ -240,7 +235,6 @@ def _run(args) -> int:
             coloring.space,
             Subspace.full(coloring.space.p, coloring.space.n),
             args.eps,
-            backend=args.backend,
             seed=args.seed,
         )
         _emit({"command": "model", **model.as_dict()}, args.out)
@@ -248,11 +242,9 @@ def _run(args) -> int:
 
     if args.command == "recolor":
         coloring = read_coloring(args.coloring)
-        report = regularity_recolor(
-            coloring, args.eps, args.eps_reg, backend=args.backend, seed=args.seed
-        )
+        report = regularity_recolor(coloring, args.eps, args.eps_reg, seed=args.seed)
         if args.out:
-            report.coloring.to_file(args.out)
+            write_coloring(args.out, report.coloring)
         _emit({"command": "recolor", **report.as_dict()})
         return 0
 
@@ -274,12 +266,11 @@ def _run(args) -> int:
             args.eps,
             eps_rado=args.eps_rado,
             eps_reg=args.eps_reg,
-            backend=args.backend,
             seed=args.seed,
             acknowledge_complexity=args.acknowledge_complexity,
         )
         if args.out:
-            report.coloring.to_file(args.out)
+            write_coloring(args.out, report.coloring)
         _emit({"command": "remove", **report.as_dict()})
         return 0
 
@@ -295,7 +286,7 @@ def _run(args) -> int:
             pairs.append((h, offs))
         red = inhomogeneous_reduce(coloring, pairs)
         if args.out:
-            red.coloring.to_file(args.out)
+            write_coloring(args.out, red.coloring)
         _emit(
             {
                 "command": "reduce",

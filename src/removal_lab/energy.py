@@ -1,4 +1,4 @@
-"""Partitions, projection energy, and subspace decompositions.
+"""Partitions and projection energy.
 
 The energy of a tuple (f_1, ..., f_k) with respect to a partition P of a
 carrier S is sum_i ||(f_i)_P||^2 where (f_i)_P averages f_i over its part and
@@ -10,12 +10,11 @@ the regularization loops lean on for their increment assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionPreconditionError, VerificationError
-from .fields import Subspace, ext_field
+from .fields import Subspace, null_space
 from .fourier import FLOAT_TOL, regularity_norm, transform
 from .space import Space
 
@@ -127,198 +126,10 @@ def increment_subspace(g: np.ndarray, space: Space, eps: float) -> tuple[int, Su
     if z is None or norm <= eps:
         return None
     zvec = space.decode(z)
-    cut = Subspace.from_rows(space.p, space.n, _null_of_vector(zvec, space.p))
+    cut = Subspace.from_rows(space.p, space.n, null_space(zvec.reshape(1, -1), space.p))
     hat = transform(g, space)
     gain = 0.0
     for a in range(1, space.p):
         gain += float(abs(hat[space.encode(a * zvec)]) ** 2)
     assert gain > eps**2 - FLOAT_TOL, f"increment gain {gain} below eps^2 = {eps**2}"
     return z, cut
-
-
-def _null_of_vector(zvec: np.ndarray, p: int) -> np.ndarray:
-    from .fields import null_space
-
-    return null_space(zvec.reshape(1, -1), p)
-
-
-# --- decompositions ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Same-codimension subspaces transverse to U whose slices tile V minus U.
-
-    parts W all satisfy W + U = V, and the sets W \\ U partition V \\ U; the
-    number of parts is p^codim.  The trivial decomposition {V} (codim 0) is
-    valid for every U.
-    """
-
-    space: Space
-    U: Subspace
-    parts: tuple[Subspace, ...]
-
-    @property
-    def codim(self) -> int:
-        return self.space.n - self.parts[0].dim
-
-    def common_subspace(self) -> Subspace:
-        """V(D) = intersection of all parts; <= U whenever D is nontrivial."""
-        cur = self.parts[0]
-        for w in self.parts[1:]:
-            cur = cur.meet(w)
-        return cur
-
-    def validate(self) -> None:
-        """Exhaustive point check of the defining properties."""
-        sp = self.space
-        dims = {w.dim for w in self.parts}
-        if len(dims) != 1:
-            raise VerificationError("parts have mixed dimension")
-        if len(self.parts) != sp.p**self.codim:
-            raise VerificationError(f"|D| = {len(self.parts)} != p^codim = {sp.p**self.codim}")
-        u_mask = np.zeros(sp.size, dtype=bool)
-        u_mask[sp.subspace_points(self.U)] = True
-        cover = np.zeros(sp.size, dtype=np.int64)
-        for w in self.parts:
-            if not w.join(self.U) == Subspace.full(sp.p, sp.n):
-                raise VerificationError("part is not transverse to U")
-            pts = sp.subspace_points(w)
-            outside = pts[~u_mask[pts]]
-            cover[outside] += 1
-        expected = (~u_mask).astype(np.int64)
-        if not (cover == expected).all():
-            raise VerificationError("part slices do not tile V \\ U exactly once")
-
-    def slice_partition(self) -> Partition:
-        """P(D): the cosets of W cap U inside each slice W \\ U."""
-        sp = self.space
-        u_mask = np.zeros(sp.size, dtype=bool)
-        u_mask[sp.subspace_points(self.U)] = True
-        labels = np.full(sp.size, -1, dtype=np.int64)
-        for i, w in enumerate(self.parts):
-            s = w.meet(self.U)
-            y = s.annihilator_matrix()
-            pows = sp.p ** np.arange(y.shape[0], dtype=np.int64)
-            stride = int(sp.p ** y.shape[0])
-            pts = sp.subspace_points(w)
-            pts = pts[~u_mask[pts]]
-            ids = (sp.decode(pts) @ y.T % sp.p) @ pows
-            labels[pts] = i * stride + ids
-        return Partition(sp, labels)
-
-    def slice_cosets(self, w_index: int) -> tuple[np.ndarray, Subspace]:
-        """Representatives of the cosets of W cap U filling W \\ U, t-ordered."""
-        sp = self.space
-        w = self.parts[w_index]
-        s = w.meet(self.U)
-        # nonzero points of a complement of S inside W represent the cosets
-        comp = _complement_within(w, s)
-        reps = sp.subspace_points(comp, t_order=True)[1:]
-        return reps, s
-
-
-def _complement_within(w: Subspace, s: Subspace) -> Subspace:
-    """A deterministic complement of s inside w (not canonical ambient-wide)."""
-    rows = []
-    cur = s
-    for row in w.basis:
-        if not cur.contains(row):
-            rows.append(row)
-            cur = cur.join(Subspace.from_rows(w.p, w.n, [row]))
-    return Subspace.from_rows(w.p, w.n, np.array(rows, dtype=np.int64) if rows else np.zeros((0, w.n), dtype=np.int64))
-
-
-def _complete_basis(container_rows: np.ndarray, inner: Subspace, p: int, n: int, count: int) -> np.ndarray:
-    rows = []
-    cur = inner
-    for row in container_rows:
-        if len(rows) == count:
-            break
-        if not cur.contains(row):
-            rows.append(row % p)
-            cur = cur.join(Subspace.from_rows(p, n, [row]))
-    if len(rows) != count:
-        raise VerificationError("could not complete basis")
-    return np.array(rows, dtype=np.int64)
-
-
-def trivial_decomposition(space: Space, u: Subspace) -> Decomposition:
-    return Decomposition(space, u, (Subspace.full(space.p, space.n),))
-
-
-def decomp_initial(space: Space, u: Subspace) -> Decomposition:
-    """The field-line decomposition of V with respect to U.
-
-    Needs codim U <= dim U.  Quotienting by a deterministic U' <= U of
-    dimension dim U - codim U identifies V/U' with F_{p^c} x F_{p^c}; the
-    parts are the lifts of the lines {(x, a x)}, one per field element a.
-    """
-    if u.dim == space.n:
-        return trivial_decomposition(space, u)
-    c = space.n - u.dim
-    if c > u.dim:
-        raise DimensionPreconditionError(
-            f"decomposition needs codim U = {c} <= dim U = {u.dim}"
-        )
-    parts = _refine_one(space, u, Subspace.full(space.p, space.n), None)
-    out = Decomposition(space, u, tuple(parts))
-    out.validate()
-    return out
-
-
-def _refine_one(space: Space, u: Subspace, w: Subspace, target: Subspace | None) -> list[Subspace]:
-    """Decompose one part w with respect to u cap w; returns the new parts."""
-    p, n = space.p, space.n
-    s = w.meet(u)
-    c = w.dim - s.dim
-    if c == 0:
-        return [w]
-    keep = w.dim - 2 * c
-    if keep < 0:
-        raise DimensionPreconditionError(
-            f"part of dimension {w.dim} cannot absorb a codim-{c} refinement"
-        )
-    container = s if target is None else target
-    if target is not None and not target.leq(s):
-        raise ValueError("target must sit inside W cap U")
-    if container.dim < keep:
-        raise DimensionPreconditionError("target too small to hold the fixed subspace")
-    u_fix = Subspace.from_rows(p, n, container.basis[container.dim - keep :])
-    mid = _complete_basis(s.basis, u_fix, p, n, c)
-    mid_space = u_fix.join(Subspace.from_rows(p, n, mid))
-    top = _complete_basis(w.basis, mid_space, p, n, c)
-    k_field = ext_field(p, c)
-    parts = []
-    for a in k_field.elements():
-        rows = [u_fix.basis] if u_fix.dim else []
-        line_rows = np.empty((c, n), dtype=np.int64)
-        for i in range(c):
-            coeffs = k_field.digits(k_field.mul(a, p**i))
-            line_rows[i] = (top[i] + np.asarray(coeffs) @ mid) % p
-        rows.append(line_rows)
-        parts.append(Subspace.from_rows(p, n, np.concatenate(rows, axis=0)))
-    return parts
-
-
-def decomp_refine(
-    decomp: Decomposition,
-    targets: Mapping[int, Subspace] | None = None,
-    *,
-    validate: bool = True,
-) -> Decomposition:
-    """Refine every part of a decomposition with respect to its U-slice.
-
-    targets maps part indices to subspaces of W cap U (typically witness
-    hyperplanes); parts of the refined decomposition inside a targeted W have
-    their U-slice inside the target, so the slice partition refines the
-    target's coset partition there.  The codimension grows by codim U.
-    """
-    targets = targets or {}
-    new_parts: list[Subspace] = []
-    for i, w in enumerate(decomp.parts):
-        new_parts.extend(_refine_one(decomp.space, decomp.U, w, targets.get(i)))
-    out = Decomposition(decomp.space, decomp.U, tuple(new_parts))
-    if validate:
-        out.validate()
-    return out

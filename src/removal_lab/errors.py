@@ -14,9 +14,13 @@ class RemovalLabError(Exception):
 
 
 class ResourceCapError(RemovalLabError):
-    """An enumeration would exceed a configured desk-scale cap."""
+    """An enumeration would exceed a configured desk-scale cap.
 
-    def __init__(self, message: str, *, requested: int, cap: int):
+    requested is the size asked for, or the power "p^n" when that size is too
+    large to be worth computing.
+    """
+
+    def __init__(self, message: str, *, requested: int | str, cap: int):
         super().__init__(message)
         self.requested = requested
         self.cap = cap
@@ -24,10 +28,6 @@ class ResourceCapError(RemovalLabError):
 
 class SpaceExhaustedError(RemovalLabError):
     """The ambient dimension is too small for the requested parameters."""
-
-
-class DimensionPreconditionError(RemovalLabError):
-    """A decomposition refinement needs more dimensions than a part has."""
 
 
 class UnsupportedCharacteristicError(RemovalLabError):

@@ -9,7 +9,6 @@ the same set of vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -115,10 +114,6 @@ def solve(a, b, p: int) -> np.ndarray | None:
     return x
 
 
-def matmul(a, b, p: int) -> np.ndarray:
-    return as_fp_matrix(a, p) @ as_fp_matrix(b, p) % p
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_p^n, stored by its canonical RREF basis.
@@ -207,90 +202,3 @@ class Subspace:
         rng = np.random.default_rng(seed)
         m = rng.integers(0, self.p, size=(det_rows.shape[0], self.dim), dtype=np.int64)
         return Subspace.from_rows(self.p, self.n, (det_rows + m @ self.basis) % self.p)
-
-
-# --- extension fields ------------------------------------------------------
-
-
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    # little-endian coefficient lists; den must be monic
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] % p
-        if c:
-            q[i - dd] = c
-            for j, dc in enumerate(den):
-                num[i - dd + j] = (num[i - dd + j] - c * dc) % p
-    while num and num[-1] % p == 0:
-        num.pop()
-    return q, [c % p for c in num]
-
-
-def _is_irreducible(modulus: list[int], p: int) -> bool:
-    # modulus monic, little-endian.  Trial division by all monic polynomials of
-    # degree up to deg/2 (fields here are tiny).
-    deg = len(modulus) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            den = [(code // p**i) % p for i in range(d)] + [1]
-            _, rem = _poly_divmod(modulus, den, p)
-            if not rem:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def ext_field(p: int, m: int) -> "ExtField":
-    return ExtField(p, m)
-
-
-class ExtField:
-    """F_{p^m} with elements coded as integers in [0, p^m).
-
-    The code is the little-endian base-p reading of the coefficient vector.
-    The modulus is the irreducible monic x^m + c_{m-1} x^{m-1} + ... + c_0
-    whose coefficient code sum(c_i p^i) is smallest; for m = 1 this is x
-    itself and arithmetic is plain mod-p arithmetic.
-    """
-
-    def __init__(self, p: int, m: int):
-        check_prime(p)
-        if m < 1:
-            raise ValueError("degree must be >= 1")
-        self.p = p
-        self.m = m
-        self.size = p**m
-        self.modulus = self._find_modulus(p, m)
-
-    @staticmethod
-    def _find_modulus(p: int, m: int) -> list[int]:
-        for code in range(p**m):
-            cand = [(code // p**i) % p for i in range(m)] + [1]
-            if _is_irreducible(cand, p):
-                return cand
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    def digits(self, a: int) -> list[int]:
-        return [(a // self.p**i) % self.p for i in range(self.m)]
-
-    def code(self, digits: list[int]) -> int:
-        return sum((d % self.p) * self.p**i for i, d in enumerate(digits[: self.m]))
-
-    def add(self, a: int, b: int) -> int:
-        return self.code([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
-
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        _, rem = _poly_divmod(prod, self.modulus, self.p)
-        rem += [0] * (self.m - len(rem))
-        return self.code(rem)
-
-    def elements(self) -> range:
-        return range(self.size)

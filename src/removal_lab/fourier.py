@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import Space
+from .space import Space, _digit_table
 
 FLOAT_TOL = 1e-9
 
@@ -65,8 +65,6 @@ def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.n
     indices in the restriction coordinates (the same t-indexing that
     coset_restrict uses); witness -1 when dim sub = 0.
     """
-    from .space import _digit_table  # local import to avoid a cycle at module load
-
     v = np.asarray(values, dtype=np.float64)
     reps = np.asarray(reps, dtype=np.int64)
     d = sub.dim

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UnsupportedCharacteristicError
 from .fields import annihilator, as_fp_matrix, check_prime, null_space, rank, rowspace_basis
-from .space import Space
+from .space import Space, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
 
@@ -79,13 +79,23 @@ class Pattern:
 
     @staticmethod
     def from_dict(d: dict) -> "Pattern":
+        if not isinstance(d, dict):
+            raise ValueError("pattern must be a JSON object")
         for key in ("p", "r", "rows", "psi"):
             if key not in d:
                 raise ValueError(f"pattern object missing {key!r}")
-        rows = np.asarray(d["rows"], dtype=np.int64)
+        for key in ("rows", "psi"):
+            if not isinstance(d[key], list):
+                raise ValueError(f"pattern field {key!r} must be a list")
+        p = check_capped_prime(json_int(d["p"], "pattern field 'p'"))
+        try:
+            rows = np.asarray(d["rows"], dtype=np.int64)
+        except (TypeError, OverflowError):
+            raise ValueError("pattern field 'rows' must hold rows of integers") from None
+        psi = tuple(json_int(c, "pattern color") for c in d["psi"])
         if rows.size == 0:
-            rows = np.zeros((0, len(d["psi"])), dtype=np.int64)
-        return Pattern(int(d["p"]), int(d["r"]), rows, tuple(int(c) for c in d["psi"]))
+            rows = np.zeros((0, len(psi)), dtype=np.int64)
+        return Pattern(p, json_int(d["r"], "pattern field 'r'"), rows, psi)
 
 
 def write_pattern(path, pattern: Pattern):

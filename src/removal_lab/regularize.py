@@ -20,15 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import (
-    Decomposition,
-    Partition,
-    _complement_within,
-    decomp_refine,
-    project_energy,
-    trivial_decomposition,
-)
-from .errors import DimensionPreconditionError, RetryCapError, SpaceExhaustedError, VerificationError
+from .energy import Partition, project_energy
+from .errors import RetryCapError, SpaceExhaustedError, VerificationError
 from .fields import Subspace, null_space
 from .fourier import FLOAT_TOL, batch_coset_norms
 from .space import Coloring, Space
@@ -268,231 +261,6 @@ def strong_regularize(
     )
 
 
-# --- decomposition route ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeakRound:
-    index: int
-    decomp_codim_before: int
-    worst_function: int
-    bad_fractions: tuple[float, ...]
-    num_targets: int
-    energy_before: float
-    energy_after: float
-
-
-@dataclass(frozen=True)
-class WeakReport:
-    decomposition: Decomposition
-    eps: float
-    rounds: tuple[WeakRound, ...]
-    final_bad_fractions: tuple[float, ...]
-    verified: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "codim_u": self.decomposition.space.n - self.decomposition.U.dim,
-            "decomp_codim": self.decomposition.codim,
-            "num_parts": len(self.decomposition.parts),
-            "eps": self.eps,
-            "rounds": [
-                {
-                    "index": r.index,
-                    "decomp_codim_before": r.decomp_codim_before,
-                    "worst_function": r.worst_function,
-                    "bad_fractions": list(r.bad_fractions),
-                    "num_targets": r.num_targets,
-                    "energy_gain": r.energy_after - r.energy_before,
-                }
-                for r in self.rounds
-            ],
-            "final_bad_fractions": list(self.final_bad_fractions),
-            "verified": self.verified,
-        }
-
-
-def _scan_decomposition(fs, space, decomp, eps):
-    """Per function: (bad part indices, first bad coset data, fraction)."""
-    per_part_cosets = [decomp.slice_cosets(i) for i in range(len(decomp.parts))]
-    out = []
-    for f in fs:
-        bad_parts = []
-        first_bad = {}
-        for w_idx, (reps, s) in enumerate(per_part_cosets):
-            norms, wits = batch_coset_norms(f, space, s, reps)
-            over = np.nonzero(norms > eps)[0]
-            if over.size:
-                bad_parts.append(w_idx)
-                first_bad[w_idx] = (int(reps[over[0]]), int(wits[over[0]]), s)
-        out.append((bad_parts, first_bad, Fraction(len(bad_parts), len(decomp.parts))))
-    return out
-
-
-def weak_decomp_regularize(fs: Sequence[np.ndarray], space: Space, u: Subspace, eps: float) -> WeakReport:
-    """Decompose V with respect to U until slice cosets are mostly regular.
-
-    Starts from the trivial decomposition {V} and refines; a part W is bad for
-    f_i when some coset x + (W cap U) with x in W \\ U has norm > eps.  Each
-    round treats the lowest over-budget function, targets every bad part at its
-    first bad coset's witness hyperplane, and must gain > eps^3 p^{-codim U}
-    energy on the slice partition.  Raises DimensionPreconditionError when a
-    refinement would need more dimensions than the parts have.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    fs = _check_tables(fs, space)
-    k = len(fs)
-    decomp = trivial_decomposition(space, u)
-    if u.dim == space.n:
-        # V \ U is empty: nothing to certify, the trivial decomposition stands
-        return WeakReport(decomp, eps, (), tuple(0.0 for _ in fs), True)
-    c = space.n - u.dim
-    eps_frac = Fraction(eps)
-    rounds: list[WeakRound] = []
-    cap = math.ceil(space.p**c * k / eps**3) + 2
-    energy = project_energy(decomp.slice_partition(), fs)[1]
-    while True:
-        scan = _scan_decomposition(fs, space, decomp, eps)
-        fractions = tuple(float(s[2]) for s in scan)
-        worst = next((i for i, s in enumerate(scan) if s[2] > eps_frac), None)
-        if worst is None:
-            break
-        bad_parts, first_bad, _ = scan[worst]
-        targets = {}
-        for w_idx in bad_parts:
-            rep, wit, s = first_bad[w_idx]
-            tspace = Space(space.p, s.dim)
-            zrow = tspace.decode(wit).reshape(1, -1)
-            cut_t = null_space(zrow, space.p)
-            targets[w_idx] = Subspace.from_rows(space.p, space.n, cut_t @ s.basis % space.p)
-        decomp_next = decomp_refine(decomp, targets)
-        energy_next = project_energy(decomp_next.slice_partition(), fs)[1]
-        bound = eps**3 * space.p ** (-c)
-        assert energy_next - energy > bound - FLOAT_TOL, (
-            f"round gain {energy_next - energy} below eps^3 p^-codim = {bound}"
-        )
-        rounds.append(
-            WeakRound(
-                index=len(rounds),
-                decomp_codim_before=decomp.codim,
-                worst_function=worst,
-                bad_fractions=fractions,
-                num_targets=len(targets),
-                energy_before=energy,
-                energy_after=energy_next,
-            )
-        )
-        decomp, energy = decomp_next, energy_next
-        assert len(rounds) <= cap, "weak regularization exceeded its round budget"
-    final_scan = _scan_decomposition(fs, space, decomp, eps + FLOAT_TOL)
-    final = tuple(float(s[2]) for s in final_scan)
-    if not all(s[2] <= eps_frac + Fraction(FLOAT_TOL) for s in final_scan):
-        raise VerificationError("weak decomposition conclusion failed", evidence=final)
-    return WeakReport(decomp, eps, tuple(rounds), final, True)
-
-
-@dataclass(frozen=True)
-class StrongDecompReport:
-    v1: Subspace
-    decomposition: Decomposition
-    eps: float
-    fallback: bool
-    stage_energies: tuple[float, ...]
-    slice_gap: float
-    bad_fractions: tuple[float, ...]
-    verified: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "codim_v1": self.v1.codim,
-            "decomp_codim": self.decomposition.codim,
-            "num_parts": len(self.decomposition.parts),
-            "eps": self.eps,
-            "fallback": self.fallback,
-            "stage_energies": list(self.stage_energies),
-            "slice_energy_gap": self.slice_gap,
-            "bad_fractions": list(self.bad_fractions),
-            "verified": self.verified,
-        }
-
-
-def _verify_strong_decomp(fs, space, v1, decomp, eps) -> tuple[float, tuple[Fraction, ...]]:
-    """Measure Thm-style conclusions: slice-energy gap and per-f bad-part fractions."""
-    if v1.dim == space.n:
-        return 0.0, tuple(Fraction(0) for _ in fs)
-    v1_pts = space.subspace_points(v1)
-    mask = np.ones(space.size, dtype=bool)
-    mask[v1_pts] = False
-    carrier = np.nonzero(mask)[0]
-    coarse = Partition.from_cosets(space, v1, carrier=carrier)
-    e_coarse = project_energy(coarse, fs)[1]
-    e_decomp = project_energy(decomp.slice_partition(), fs)[1]
-    scan = _scan_decomposition(fs, space, decomp, eps + FLOAT_TOL)
-    return e_coarse - e_decomp, tuple(s[2] for s in scan)
-
-
-def strong_decomp_regularize(
-    fs: Sequence[np.ndarray], space: Space, v0: Subspace, eps: float
-) -> StrongDecompReport:
-    """Iterate weak_decomp_regularize on V(D_m) until the energy gain stalls.
-
-    Returns (V_1, D) = (V(D_{M-1}), D_M) for the first M with
-    E(P(V_M)) <= E(P(V_{M-1})) + eps/2.  Whenever the ambient dimension cannot
-    support a step (the initial line decomposition or a weak refinement), the
-    trivially-true fallback V_1 = {0}, D = {V} is returned instead; either way
-    the conclusions are re-measured before returning.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    fs = _check_tables(fs, space)
-    k = len(fs)
-    v0 = _shrink_to_codim(space, v0, min(_min_codim_for(space, eps), space.n))
-
-    def finish(v1, decomp, energies, fallback):
-        gap, fracs = _verify_strong_decomp(fs, space, v1, decomp, eps)
-        ok = gap <= eps + FLOAT_TOL and all(f <= Fraction(eps) + Fraction(FLOAT_TOL) for f in fracs)
-        if not ok:
-            raise VerificationError(
-                "strong decomposition conclusions failed",
-                evidence={"gap": gap, "fractions": [float(f) for f in fracs]},
-            )
-        return StrongDecompReport(
-            v1=v1,
-            decomposition=decomp,
-            eps=eps,
-            fallback=fallback,
-            stage_energies=tuple(energies),
-            slice_gap=gap,
-            bad_fractions=tuple(float(f) for f in fracs),
-            verified=True,
-        )
-
-    zero = Subspace.zero(space.p, space.n)
-    if _min_codim_for(space, eps) > space.n:
-        return finish(zero, trivial_decomposition(space, zero), (), True)
-    from .energy import decomp_initial
-
-    try:
-        decomp = decomp_initial(space, v0)
-    except DimensionPreconditionError:
-        return finish(zero, trivial_decomposition(space, zero), (), True)
-    v_m = decomp.common_subspace()
-    energies = [_coset_energy(fs, space, v_m)]
-    cap = math.ceil(2 * k / eps) + 2
-    for _ in range(cap):
-        try:
-            weak = weak_decomp_regularize(fs, space, v_m, eps)
-        except DimensionPreconditionError:
-            return finish(zero, trivial_decomposition(space, zero), tuple(energies), True)
-        v_next = weak.decomposition.common_subspace()
-        energies.append(_coset_energy(fs, space, v_next))
-        if energies[-1] <= energies[-2] + eps / 2:
-            return finish(v_m, weak.decomposition, tuple(energies), False)
-        v_m = v_next
-    raise AssertionError("energy increment exceeded its 2k/eps budget")
-
-
 # --- the regular model ---------------------------------------------------------
 
 
@@ -503,15 +271,14 @@ class RegularModel:
     v2: Subspace
     u: Subspace
     eps: float
-    backend: str
     seed: int
     attempts: int
     details: dict
-    inner: object = field(repr=False, default=None)
+    inner: StrongReport | None = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
         d = {
-            "backend": self.backend,
+            "backend": "strong",  # a report field; strong regularization is the only route
             "seed": self.seed,
             "attempts": self.attempts,
             "eps": self.eps,
@@ -580,20 +347,15 @@ def regular_model(
     v0: Subspace,
     eps: float,
     *,
-    backend: str = "strong",
     seed: int = 0,
     max_attempts: int = 64,
 ) -> RegularModel:
     """Produce verified (V_2 <= V_1 <= V_0, U) with U + V_1 = V direct.
 
-    backend "strong" runs strong_regularize and draws seeded uniform random
-    complements U of V_1 until the verifier passes; backend "decomp" runs
-    strong_decomp_regularize and draws seeded parts W (V_2 = V_1 cap W, U a
-    complement of V_2 inside W).  Both retry up to max_attempts and raise
+    Runs strong_regularize and draws seeded uniform random complements U of
+    V_1 until the verifier passes; retries up to max_attempts and raises
     RetryCapError with per-attempt stats if nothing verifies.
     """
-    if backend not in ("strong", "decomp"):
-        raise ValueError(f"unknown backend {backend!r}")
     if eps <= 0:
         raise ValueError("eps must be positive")
     fs = _check_tables(fs, space)
@@ -606,34 +368,18 @@ def regular_model(
         details["trivial_fallback"] = True
         if not details["ok"]:
             raise VerificationError("trivial model failed verification", evidence=details)
-        return RegularModel(v0, zero, zero, full, eps, backend, seed, 1, details)
+        return RegularModel(v0, zero, zero, full, eps, seed, 1, details)
     v0 = _shrink_to_codim(space, v0, need)
+    inner = strong_regularize(fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k)))
+    v1, v2 = inner.v1, inner.v2
     stats: list[dict] = []
-    if backend == "strong":
-        inner = strong_regularize(
-            fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k))
-        )
-        v1, v2 = inner.v1, inner.v2
-        for attempt in range(max_attempts):
-            u = v1.complement(seed=_derived_seed(seed, attempt))
-            details = verify_model(fs, space, v1, v2, u, eps)
-            stats.append({"attempt": attempt, **details})
-            if details["ok"]:
-                return RegularModel(v0, v1, v2, u, eps, backend, seed, attempt + 1, details, inner)
-        raise RetryCapError("no random complement verified", attempts=max_attempts, stats=stats)
-    inner = strong_decomp_regularize(fs, space, v0, min(eps**3 / 4, 1 / (4 * k)))
-    v1 = inner.v1
-    parts = inner.decomposition.parts
     for attempt in range(max_attempts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        w = parts[int(rng.integers(len(parts)))]
-        v2 = v1.meet(w)
-        u = _complement_within(w, v2)
+        u = v1.complement(seed=_derived_seed(seed, attempt))
         details = verify_model(fs, space, v1, v2, u, eps)
-        stats.append({"attempt": attempt, "part_dim": w.dim, **details})
+        stats.append({"attempt": attempt, **details})
         if details["ok"]:
-            return RegularModel(v0, v1, v2, u, eps, backend, seed, attempt + 1, details, inner)
-    raise RetryCapError("no decomposition part verified", attempts=max_attempts, stats=stats)
+            return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details, inner)
+    raise RetryCapError("no random complement verified", attempts=max_attempts, stats=stats)
 
 
 # --- regularity recoloring ------------------------------------------------------
@@ -673,7 +419,6 @@ def regularity_recolor(
     eps: float,
     eps_prime,
     *,
-    backend: str = "strong",
     seed: int = 0,
 ) -> RecolorReport:
     """Recolor <= eps|V| points so colors surviving in a V_1-coset are dense in V_2.
@@ -695,22 +440,18 @@ def regularity_recolor(
             f"conclusion codim V_1 >= 1/eps needs dimension >= {d0}, have {space.n}"
         )
     sequence_mode = callable(eps_prime)
-    if sequence_mode:
-        d = d0
-        while True:
-            target = float(eps_prime(d))
-            eps2 = min(eps / (4 * r), target)
-            model = regular_model(fs, space, _leading_kill_subspace(space, d), eps2, backend=backend, seed=seed)
-            d_new = model.v1.codim
-            if eps2 <= float(eps_prime(d_new)):
-                eps_prime_final = float(eps_prime(d_new))
-                break
-            assert d_new > d, "codimension guess must strictly increase"
-            d = d_new
-    else:
-        eps_prime_final = float(eps_prime)
-        eps2 = min(eps / (4 * r), eps_prime_final)
-        model = regular_model(fs, space, _leading_kill_subspace(space, d0), eps2, backend=backend, seed=seed)
+    # plain mode is sequence mode with a constant eps': its first pass exits
+    eps_seq = eps_prime if sequence_mode else lambda d: eps_prime
+    d = d0
+    while True:
+        eps2 = min(eps / (4 * r), float(eps_seq(d)))
+        model = regular_model(fs, space, _leading_kill_subspace(space, d), eps2, seed=seed)
+        d_new = model.v1.codim
+        if eps2 <= float(eps_seq(d_new)):
+            eps_prime_final = float(eps_seq(d_new))
+            break
+        assert d_new > d, "codimension guess must strictly increase"
+        d = d_new
 
     v1, v2, u = model.v1, model.v2, model.u
     u_pts = space.subspace_points(u)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CaseAAbort, ResourceCapError, VerificationError
-from .fields import Subspace, rank, solve
+from .fields import Subspace, null_space, rank, solve
 from .patterns import (
     ENUMERATION_CAP,
     Pattern,
@@ -99,7 +99,6 @@ def induced_removal(
     *,
     eps_rado: float = 0.1,
     eps_reg: float = 0.05,
-    backend: str = "strong",
     seed: int = 0,
     acknowledge_complexity: bool = False,
 ) -> RemovalReport:
@@ -136,7 +135,7 @@ def induced_removal(
                     "pass acknowledge_complexity=True to run regardless"
                 )
 
-    recolor = regularity_recolor(phi, eps / 2, eps_reg, backend=backend, seed=seed)
+    recolor = regularity_recolor(phi, eps / 2, eps_reg, seed=seed)
     phi1 = recolor.coloring
     v1, v2 = recolor.model.v1, recolor.model.v2
 
@@ -358,9 +357,7 @@ def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, b_offsets: np.ndarra
         part = solve(pattern.rows, b_coords[:, axis], p) if pattern.rows.shape[0] else np.zeros(pattern.k, dtype=np.int64)
         if part is None:
             return []
-        from .fields import null_space as _ns
-
-        basis = _ns(pattern.rows, p) if pattern.rows.shape[0] else np.eye(pattern.k, dtype=np.int64)
+        basis = null_space(pattern.rows, p) if pattern.rows.shape[0] else np.eye(pattern.k, dtype=np.int64)
         sols = []
         tsp = Space(p, basis.shape[0]) if basis.shape[0] else None
         count = p ** basis.shape[0]

@@ -32,6 +32,38 @@ def point_cap() -> int:
     return cap
 
 
+def check_capped_prime(p: int) -> int:
+    """check_prime, after refusing a p above the point cap: trial division grows with p."""
+    cap = point_cap()
+    if p > cap:
+        raise ResourceCapError(
+            f"prime p = {p} exceeds the point cap {cap} (override with {CAP_ENV_VAR})",
+            requested=p,
+            cap=cap,
+        )
+    return check_prime(p)
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON input file; ValueError for a list, object or null."""
+    if not isinstance(value, (int, float, str)):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    try:
+        return int(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a finite integer") from None
+
+
+def _json_header(fh, keys: tuple[str, ...], what: str) -> dict[str, int]:
+    header = json.loads(fh.readline())
+    if not isinstance(header, dict):
+        raise ValueError(f"{what} header must be a JSON object")
+    for key in keys:
+        if key not in header:
+            raise ValueError(f"{what} header missing {key!r}")
+    return {key: json_int(header[key], f"{what} header {key!r}") for key in keys}
+
+
 def _digit_table(p: int, n: int) -> np.ndarray:
     idx = np.arange(p**n, dtype=np.int64)
     out = np.empty((p**n, n), dtype=np.int64)
@@ -44,20 +76,24 @@ class Space:
     """The ambient space F_p^n with cached encode/decode tables."""
 
     def __init__(self, p: int, n: int):
-        check_prime(p)
+        check_capped_prime(p)
         if n < 0:
             raise ValueError("dimension must be >= 0")
-        self.p = p
-        self.n = n
-        self.size = p**n
         cap = point_cap()
-        if self.size > cap:
+        # p**n is computed only while it fits in max(4096, 2 * bits of cap)
+        # bits; past that bound p >= 2 makes it exceed the cap for sure
+        exact = n * int(p).bit_length() <= max(4096, 2 * cap.bit_length())
+        size = p**n if exact else f"{p}^{n}"
+        if isinstance(size, str) or size > cap:
             raise ResourceCapError(
-                f"|F_{p}^{n}| = {self.size} exceeds the point cap {cap} "
+                f"|F_{p}^{n}| = {size} exceeds the point cap {cap} "
                 f"(override with {CAP_ENV_VAR})",
-                requested=self.size,
+                requested=size,
                 cap=cap,
             )
+        self.p = p
+        self.n = n
+        self.size = size
 
     def __repr__(self):
         return f"Space(p={self.p}, n={self.n})"
@@ -96,9 +132,6 @@ class Space:
         return self.encode(c * self.decode(a))
 
     # --- subspaces and cosets ------------------------------------------
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.p, self.n)
 
     def zero_subspace(self) -> Subspace:
         return Subspace.zero(self.p, self.n)
@@ -192,13 +225,6 @@ class Coloring:
     def changed_from(self, other: "Coloring") -> int:
         return int(np.count_nonzero(self.values != other.values))
 
-    def to_file(self, path):
-        write_coloring(path, self)
-
-    @staticmethod
-    def from_file(path) -> "Coloring":
-        return read_coloring(path)
-
 
 # --- file formats ------------------------------------------------------
 #
@@ -216,15 +242,12 @@ def write_coloring(path, coloring: Coloring):
 
 def read_coloring(path) -> Coloring:
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        for key in ("p", "n", "r"):
-            if key not in header:
-                raise ValueError(f"coloring header missing {key!r}")
-        space = Space(int(header["p"]), int(header["n"]))
+        header = _json_header(fh, ("p", "n", "r"), "coloring")
+        space = Space(header["p"], header["n"])
         vals = [int(line) for line in fh if line.strip()]
     if len(vals) != space.size:
         raise ValueError(f"expected {space.size} colors, found {len(vals)}")
-    return Coloring(space, int(header["r"]), np.array(vals, dtype=np.int64))
+    return Coloring(space, header["r"], np.array(vals, dtype=np.int64))
 
 
 def write_table(path, space: Space, values: np.ndarray):
@@ -239,11 +262,8 @@ def write_table(path, space: Space, values: np.ndarray):
 
 def read_table(path) -> tuple[np.ndarray, Space]:
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        for key in ("p", "n"):
-            if key not in header:
-                raise ValueError(f"table header missing {key!r}")
-        space = Space(int(header["p"]), int(header["n"]))
+        header = _json_header(fh, ("p", "n"), "table")
+        space = Space(header["p"], header["n"])
         vals = [float(line) for line in fh if line.strip()]
     if len(vals) != space.size:
         raise ValueError(f"expected {space.size} values, found {len(vals)}")

@@ -8,7 +8,7 @@ _LABELS = {
     3: "subpattern goldens + exhaustive extendability",
     4: "fourier suite (fast vs naive, parseval, inversion, lambda)",
     5: "energy laws (monotonicity, pythagoras, increments)",
-    6: "regularization self-certification (6 ops x 50 seeds)",
+    6: "regularization self-certification (4 ops x 50 seeds)",
     7: "dichotomy soundness (Case B witness / Case A certificates)",
     8: "end-to-end removal (20 seeded runs, no third outcome)",
     9: "inhomogeneous correspondence (exhaustive bijection)",

@@ -1,14 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import removal_lab
 from removal_lab import cli
 from removal_lab.patterns import Pattern, read_pattern, subpattern, write_family, write_pattern
 from removal_lab.ramsey import canonical_coloring
-from removal_lab.space import CAP_ENV_VAR, Coloring, Space, read_table, write_table
+from removal_lab.space import CAP_ENV_VAR, Coloring, Space, read_coloring, read_table, write_coloring, write_table
 from removal_lab.fourier import transform
 
 
@@ -18,14 +21,14 @@ def workdir(tmp_path):
     sp = Space(2, 4)
     rng = np.random.default_rng(2)
     coloring = Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64))
-    coloring.to_file(tmp_path / "phi.json")
+    write_coloring(tmp_path / "phi.json", coloring)
 
     pat = Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))
     write_pattern(tmp_path / "h.json", pat)
     write_family(tmp_path / "fam.json", [pat])
 
     mono = Coloring(Space(2, 6), 2, np.full(64, 2, dtype=np.int64))
-    mono.to_file(tmp_path / "mono.json")
+    write_coloring(tmp_path / "mono.json", mono)
     return tmp_path
 
 
@@ -150,14 +153,6 @@ def test_recolor_writes_coloring_and_is_deterministic(workdir, capsys):
     assert out_path.read_bytes() == first
 
 
-def test_threads_flag_never_changes_output(workdir, capsys):
-    base = ("stats", "--pattern", str(workdir / "h.json"), "--coloring", str(workdir / "phi.json"))
-    _, out1, _ = run_cli(capsys, *base)
-    _, out2, _ = run_cli(capsys, "--threads", "4", *base)
-    assert out1 == out2
-    assert "threads" not in out1
-
-
 def test_dichotomy_case_a_writes_witness(workdir, capsys):
     fam = [Pattern(2, 1, [[1, 1, 1]], (1, 1, 1))]
     write_family(workdir / "schur.json", fam)
@@ -185,8 +180,6 @@ def test_remove_success_roundtrip(workdir, capsys):
     assert report["case"] == "B"
     assert report["changed_count"] == 0
     assert report["verified_free"] is True
-    from removal_lab.space import read_coloring
-
     cleaned = read_coloring(out_path)
     assert np.array_equal(cleaned.values, np.full(64, 2))
     code, out2, _ = run_cli(capsys, *args)
@@ -196,7 +189,7 @@ def test_remove_success_roundtrip(workdir, capsys):
 def test_remove_case_a_exits_two_with_evidence(workdir, capsys):
     sp = Space(3, 3)
     rng = np.random.default_rng(0)
-    Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64)).to_file(workdir / "r3.json")
+    write_coloring(workdir / "r3.json", Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64)))
     fam = [Pattern(3, 2, [[1, 1, 2]], (c,) * 3) for c in (1, 2)]
     write_family(workdir / "fam3.json", fam)
     code, out, _ = run_cli(
@@ -222,7 +215,7 @@ def test_recolor_space_exhausted_exits_two(workdir, capsys):
 def test_cap_flag_exits_two_with_evidence(workdir, capsys, monkeypatch):
     monkeypatch.setenv(CAP_ENV_VAR, "1000000")  # so teardown restores sanity
     sp = Space(5, 3)
-    Coloring(sp, 2, np.ones(sp.size, dtype=np.int64)).to_file(workdir / "big.json")
+    write_coloring(workdir / "big.json", Coloring(sp, 2, np.ones(sp.size, dtype=np.int64)))
     write_pattern(workdir / "h5.json", Pattern(5, 2, [[1, 1, 1]], (1, 1, 1)))
     code, out, _ = run_cli(
         capsys, "--cap", "100", "density",
@@ -238,7 +231,7 @@ def test_cap_flag_exits_two_with_evidence(workdir, capsys, monkeypatch):
 def test_reduce_quotient_coloring(workdir, capsys):
     sp = Space(2, 3)
     rng = np.random.default_rng(9)
-    Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64)).to_file(workdir / "c3.json")
+    write_coloring(workdir / "c3.json", Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64)))
     write_family(workdir / "redfam.json", [Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))])
     out_path = workdir / "quot.json"
     code, out, _ = run_cli(
@@ -251,8 +244,6 @@ def test_reduce_quotient_coloring(workdir, capsys):
     assert report["quotient_dim"] == 2
     assert report["quotient_colors"] == 4
     assert report["expansion_counts"] == [2 ** 2 * 2 ** 3]
-    from removal_lab.space import read_coloring
-
     assert read_coloring(out_path).r == 4
 
 
@@ -273,7 +264,7 @@ def test_usage_errors_exit_one(workdir, capsys):
         cli.main(["density"])  # missing required flags
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
-        cli.main(["--threads", "0", "stats", "--pattern", "x", "--coloring", "y"])
+        cli.main(["--cap", "0", "stats", "--pattern", "x", "--coloring", "y"])
     assert exc.value.code == 1
     capsys.readouterr()
 
@@ -295,3 +286,53 @@ def test_console_entry_point_runs():
     )
     assert out.returncode == 0
     assert "subcommand" in out.stdout or "usage" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,name,text",
+    [
+        (["dichotomy", "--family"], "fam.json", "[5]\n"),
+        (["dichotomy", "--family"], "fam.json", '[{"p": [5], "r": 1, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}]\n'),
+        (["complexity", "--pattern"], "h.json", '{"p": 5, "r": 1, "rows": [[1, 1, 1]], "psi": 5}\n'),
+        (["complexity", "--pattern"], "h.json", '{"p": 5, "r": 1, "rows": [[1, null, 1]], "psi": [1, 1, 1]}\n'),
+        (["stats", "--pattern", "h.json", "--coloring"], "c.json", "5\n1\n"),
+        (["fourier", "--table"], "t.json", '{"p": 2, "n": null}\n0.5\n'),
+    ],
+    ids=["family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field"],
+)
+def test_malformed_json_exits_one(workdir, capsys, argv, name, text):
+    (workdir / name).write_text(text)
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, str(workdir / name))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
+def _run_subprocess(tmp_path, *argv):
+    """The CLI in a fresh interpreter, so that a check made too late times out here."""
+    src = str(Path(removal_lab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "removal_lab.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=30,
+    )
+
+
+def test_huge_dimension_refused_before_p_to_the_n(workdir):
+    (workdir / "huge.json").write_text('{"n": 20000, "p": 2, "r": 2}\n1\n')
+    out = _run_subprocess(workdir, "stats", "--pattern", "h.json", "--coloring", "huge.json")
+    assert out.returncode == 2
+    evidence = json.loads(out.stdout)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == "2^20000"
+
+
+def test_huge_prime_refused_before_trial_division(workdir):
+    p = 2**61 - 1
+    text = json.dumps([{"p": p, "r": 1, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}])
+    (workdir / "bigp.json").write_text(text + "\n")
+    out = _run_subprocess(workdir, "dichotomy", "--family", "bigp.json")
+    assert out.returncode == 2
+    evidence = json.loads(out.stdout)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == p

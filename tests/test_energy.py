@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from removal_lab.energy import (
-    Decomposition,
-    Partition,
-    decomp_initial,
-    decomp_refine,
-    increment_subspace,
-    project,
-    project_energy,
-    trivial_decomposition,
-)
-from removal_lab.errors import DimensionPreconditionError, VerificationError
+from removal_lab.energy import Partition, increment_subspace, project, project_energy
 from removal_lab.fields import Subspace
 from removal_lab.space import Space
 
@@ -139,106 +129,30 @@ def test_increment_subspace_realizes_energy_gain():
     assert found >= 10  # random tables at this size are rarely 0.05-regular
 
 
-# --- decompositions --------------------------------------------------------------
+# --- field lines ----------------------------------------------------------------
 
 
 def test_field_line_decomposition_golden():
+    """F_3^2 minus the line U = <(0,1)> is tiled by U's three complements.
+
+    Each complement of U is a field line through 0; the seeded complements
+    that regular_model draws reach exactly these three lines.
+    """
     sp = Space(3, 2)
     u = Subspace.from_rows(3, 2, [[0, 1]])
-    d = decomp_initial(sp, u)
-    assert d.codim == 1
-    assert [w.basis.tolist() for w in d.parts] == [[[1, 0]], [[1, 1]], [[1, 2]]]
-    assert d.common_subspace().dim == 0
-    d.validate()
-
-
-def test_trivial_decomposition_slices_are_u_cosets():
-    sp = Space(2, 3)
-    u = Subspace.from_rows(2, 3, [[1, 1, 0]])
-    d = trivial_decomposition(sp, u)
-    d.validate()
-    u_pts = sp.subspace_points(u)
-    carrier = np.setdiff1d(np.arange(sp.size), u_pts)
-    expect = Partition.from_cosets(sp, u, carrier)
-    assert np.array_equal(d.slice_partition().labels, expect.labels)
-
-
-def test_decomp_initial_requires_room():
-    sp = Space(2, 3)
-    with pytest.raises(DimensionPreconditionError):
-        decomp_initial(sp, Subspace.from_rows(2, 3, [[1, 0, 0]]))
-
-
-def test_decomp_initial_full_u_is_trivial():
-    sp = Space(5, 2)
-    d = decomp_initial(sp, Subspace.full(5, 2))
-    assert len(d.parts) == 1 and d.codim == 0
-
-
-@pytest.mark.parametrize("p,n,udim", [(2, 2, 1), (2, 4, 2), (3, 2, 1), (3, 4, 2), (5, 2, 1)])
-def test_decomp_initial_validates_across_shapes(p, n, udim):
-    rng = np.random.default_rng(p * 10 + n)
-    sp = Space(p, n)
-    u = random_subspace(rng, p, n, udim)
-    d = decomp_initial(sp, u)
-    assert len(d.parts) == p ** (n - udim)
-    d.validate()
-    # slice partition covers exactly V minus U
-    lab = d.slice_partition().labels
+    lines = [Subspace.from_rows(3, 2, rows) for rows in ([[1, 0]], [[1, 1]], [[1, 2]])]
+    assert [w.basis.tolist() for w in lines] == [[[1, 0]], [[1, 1]], [[1, 2]]]
+    assert {u.complement(seed=s) for s in range(40)} == set(lines)
+    assert u.complement() == lines[0]
+    labels = np.full(sp.size, -1, dtype=np.int64)
+    for i, w in enumerate(lines):
+        assert w.codim == 1 and w.meet(u).dim == 0
+        pts = sp.subspace_points(w)
+        pts = pts[pts != 0]
+        assert (labels[pts] == -1).all()  # the lines meet only in 0
+        labels[pts] = i
+    part = Partition(sp, labels)
+    assert part.num_parts == 3
     u_mask = np.zeros(sp.size, dtype=bool)
     u_mask[sp.subspace_points(u)] = True
-    assert ((lab >= 0) == ~u_mask).all()
-
-
-def test_decomp_refine_grows_codim_and_respects_targets():
-    sp = Space(2, 4)
-    u = Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    d = decomp_initial(sp, u)
-    assert d.codim == 1
-    s0 = d.parts[0].meet(u)
-    target = Subspace.from_rows(2, 4, s0.basis[:1])
-    fine = decomp_refine(d, {0: target})
-    assert fine.codim == 2
-    assert fine.slice_partition().refines(d.slice_partition())
-    hit = 0
-    for w in fine.parts:
-        if w.leq(d.parts[0]):
-            hit += 1
-            assert w.meet(u).leq(target)
-    assert hit == 2  # p^{codim U} children per part
-    with pytest.raises(ValueError):
-        decomp_refine(d, {0: Subspace.from_rows(2, 4, [[0, 0, 0, 1]])})
-
-
-def test_decomp_refine_dimension_floor():
-    sp = Space(2, 4)
-    u = Subspace.from_rows(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    d = decomp_initial(sp, u)
-    with pytest.raises(DimensionPreconditionError):
-        decomp_refine(d)
-
-
-def test_slice_cosets_tile_each_slice():
-    sp = Space(3, 4)
-    u = Subspace.from_rows(3, 4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-    d = decomp_initial(sp, u)
-    u_mask = np.zeros(sp.size, dtype=bool)
-    u_mask[sp.subspace_points(u)] = True
-    for i, w in enumerate(d.parts):
-        reps, s = d.slice_cosets(i)
-        assert s == w.meet(u)
-        seen = np.zeros(sp.size, dtype=np.int64)
-        for rep in reps:
-            seen[sp.coset_points(int(rep), s)] += 1
-        w_pts = sp.subspace_points(w)
-        expect = np.zeros(sp.size, dtype=np.int64)
-        expect[w_pts[~u_mask[w_pts]]] = 1
-        assert np.array_equal(seen, expect)
-
-
-def test_decomposition_validate_catches_bad_parts():
-    sp = Space(2, 2)
-    u = Subspace.from_rows(2, 2, [[1, 0]])
-    bad = Decomposition(sp, u, (Subspace.from_rows(2, 2, [[1, 0]]),))
-    with pytest.raises(VerificationError):
-        bad.validate()
+    assert np.array_equal(part.carrier, np.nonzero(~u_mask)[0])

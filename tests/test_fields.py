@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from removal_lab.fields import (
-    ExtField,
     Subspace,
     annihilator,
-    ext_field,
     null_space,
     rank,
     rref,
@@ -132,25 +130,3 @@ class TestSubspace:
         y = s.annihilator_matrix()
         assert y.shape[0] == s.codim
         assert not np.any(y @ s.basis.T % 2)
-
-
-def test_ext_field_moduli_are_the_frozen_ones():
-    """First irreducible in little-endian code order: x^2+x+1 then x^3+x+1."""
-    assert list(ext_field(2, 2).modulus) == [1, 1, 1]
-    assert list(ext_field(2, 3).modulus) == [1, 1, 0, 1]
-
-
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2)])
-def test_ext_field_is_a_field(p, m):
-    k = ext_field(p, m)
-    els = list(k.elements())
-    assert len(els) == p**m
-    # every nonzero element has an inverse: the multiplication map is injective
-    for a in els[1:]:
-        seen = {k.mul(a, b) for b in els}
-        assert len(seen) == len(els)
-
-
-def test_ext_field_cached():
-    assert ext_field(3, 2) is ext_field(3, 2)
-    assert isinstance(ext_field(3, 2), ExtField)

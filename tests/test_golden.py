@@ -1,0 +1,64 @@
+"""Byte-for-byte CLI reports on small seeded inputs.
+
+The expected stdout of each run lives in tests/golden/<name>.json, next to
+the sha256 of the file the run writes with --out.  Inputs are rebuilt
+from fixed seeds by the library's own writers, so a change to any report
+field, float, key order or recolored point shows up here.  To refresh a
+golden after an intended report change, rerun the command and overwrite the
+file, and say why in the change log.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from removal_lab import cli
+from removal_lab.patterns import Pattern, write_family
+from removal_lab.ramsey import canonical_coloring
+from removal_lab.space import Coloring, Space, write_coloring
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def write_inputs(tmp_path):
+    # F_2^6 coloring with a subspace-structured color class: the model is nontrivial
+    values = np.where(np.arange(64) % 4 == 0, 1, 2)
+    write_coloring(tmp_path / "quarter.json", Coloring(Space(2, 6), 2, values))
+    write_coloring(tmp_path / "canon5.json", canonical_coloring(Space(5, 3), (1, 2, 3, 4)))
+    write_family(tmp_path / "mono5.json", [Pattern(5, 4, [[1, 1, 1]], (c,) * 3) for c in (1, 2, 3, 4)])
+    # random 2-coloring of F_3^3 whose sparse subfamily forces Case A
+    rng = np.random.default_rng(0)
+    write_coloring(tmp_path / "rand3.json", Coloring(Space(3, 3), 2, rng.integers(1, 3, 27).astype(np.int64)))
+    write_family(tmp_path / "mono3.json", [Pattern(3, 2, [[1, 1, 2]], (c,) * 3) for c in (1, 2)])
+
+
+RUNS = {
+    "model": (0, ["model", "--coloring", "quarter.json", "--eps", "0.5", "--seed", "3"]),
+    "recolor": (0, ["recolor", "--coloring", "quarter.json", "--eps", "1", "--eps-reg", "0.5", "--seed", "1"]),
+    "remove_case_b": (
+        0,
+        ["remove", "--family", "mono5.json", "--coloring", "canon5.json", "--eps", "1", "--eps-rado", "0.01"],
+    ),
+    "remove_case_a": (
+        2,
+        ["remove", "--family", "mono3.json", "--coloring", "rand3.json", "--eps", "0.7", "--eps-rado", "1.5"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes_match_golden(name, tmp_path, capsys, monkeypatch):
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    want_code, argv = RUNS[name]
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    if want_code == 0:
+        argv = [*argv, "--out", "out.json"]
+    assert cli.main(argv) == want_code
+    assert capsys.readouterr().out == expected["stdout"]
+    if want_code == 0:
+        digest = hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest()
+        assert digest == expected["out_sha256"]

@@ -10,10 +10,8 @@ from removal_lab.regularize import (
     green_regularize,
     regular_model,
     regularity_recolor,
-    strong_decomp_regularize,
     strong_regularize,
     verify_model,
-    weak_decomp_regularize,
 )
 from removal_lab.space import Coloring, Space
 
@@ -92,70 +90,17 @@ def test_strong_regularize_reaches_stable_pair():
     assert rep.stages[0].codim <= rep.stages[-1].codim
 
 
-# --- decomposition routes -------------------------------------------------------
-
-
-def test_weak_decomp_trivial_when_u_is_everything():
-    sp = Space(3, 3)
-    rng = np.random.default_rng(31)
-    rep = weak_decomp_regularize(random_tables(rng, sp, 1), sp, Subspace.full(3, 3), 0.1)
-    assert rep.verified and len(rep.rounds) == 0
-    assert len(rep.decomposition.parts) == 1
-
-
-def test_weak_decomp_random_inputs_verify():
-    rng = np.random.default_rng(32)
-    sp = Space(2, 6)
-    u = Subspace.from_rows(2, 6, np.eye(6, dtype=np.int64)[1:])
-    fs = random_tables(rng, sp, 2, "indicator")
-    rep = weak_decomp_regularize(fs, sp, u, 0.15)
-    assert rep.verified
-    assert all(frac <= 0.15 + TOL for frac in rep.final_bad_fractions)
-    rep.decomposition.validate()
-    for rd in rep.rounds:
-        assert rd.energy_after > rd.energy_before
-
-
-def test_weak_decomp_structured_input_forces_rounds():
-    sp = Space(2, 7)
-    u = Subspace.from_rows(2, 7, np.eye(7, dtype=np.int64)[1:])
-    inner = Subspace.from_rows(2, 7, np.eye(7, dtype=np.int64)[2:])
-    f = coset_union_indicator(sp, inner, [0, 3])
-    rep = weak_decomp_regularize([f], sp, u, 0.05)
-    assert rep.verified
-    assert len(rep.rounds) >= 1
-
-
-def test_strong_decomp_verifies_and_reports_energies():
-    rng = np.random.default_rng(41)
-    sp = Space(2, 7)
-    fs = random_tables(rng, sp, 2, "indicator")
-    rep = strong_decomp_regularize(fs, sp, Subspace.full(2, 7), 0.5)
-    assert rep.verified
-    assert not rep.fallback
-    assert rep.slice_gap <= 0.5 + TOL
-    assert len(rep.stage_energies) >= 1
-
-
-def test_strong_decomp_falls_back_when_space_is_too_small():
-    sp = Space(2, 3)
-    rng = np.random.default_rng(42)
-    rep = strong_decomp_regularize(random_tables(rng, sp, 1, "indicator"), sp, Subspace.full(2, 3), 0.01)
-    assert rep.fallback
-    assert rep.verified
-    assert rep.v1.dim == 0
-
-
 # --- regular models ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["strong", "decomp"])
+@pytest.mark.parametrize("backend", ["strong"])  # the route every model report names
 def test_regular_model_verifies_both_backends(backend):
     rng = np.random.default_rng(51)
     sp = Space(2, 7)
     fs = random_tables(rng, sp, 2, "indicator")
     v0 = Subspace.from_rows(2, 7, np.eye(7, dtype=np.int64)[2:])
-    model = regular_model(fs, sp, v0, 0.3, backend=backend, seed=5)
+    model = regular_model(fs, sp, v0, 0.3, seed=5)
+    assert model.as_dict()["backend"] == backend
     assert model.v2.leq(model.v1)
     assert model.v1.leq(v0)
     out = verify_model(fs, sp, model.v1, model.v2, model.u, 0.3)
@@ -168,8 +113,8 @@ def test_regular_model_is_deterministic_per_seed():
     sp = Space(3, 4)
     fs = random_tables(rng, sp, 2, "indicator")
     v0 = Subspace.from_rows(3, 4, np.eye(4, dtype=np.int64)[1:])
-    a = regular_model(fs, sp, v0, 0.35, backend="decomp", seed=9)
-    b = regular_model(fs, sp, v0, 0.35, backend="decomp", seed=9)
+    a = regular_model(fs, sp, v0, 0.35, seed=9)
+    b = regular_model(fs, sp, v0, 0.35, seed=9)
     assert a.v1 == b.v1 and a.v2 == b.v2 and a.u == b.u
     assert a.attempts == b.attempts
 
@@ -185,8 +130,9 @@ def test_regular_model_trivializes_when_codim_need_exceeds_n():
 
 
 def test_regular_model_rejects_unknown_backend():
+    # strong regularization is the only route: there is no backend to choose
     sp = Space(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         regular_model([np.ones(4)], sp, Subspace.full(2, 2), 0.5, backend="other")
 
 
@@ -230,8 +176,8 @@ def test_recolor_same_seed_same_output():
     sp = Space(3, 3)
     rng = np.random.default_rng(73)
     col = Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64))
-    a = regularity_recolor(col, 0.7, 0.3, backend="decomp", seed=4)
-    b = regularity_recolor(col, 0.7, 0.3, backend="decomp", seed=4)
+    a = regularity_recolor(col, 0.7, 0.3, seed=4)
+    b = regularity_recolor(col, 0.7, 0.3, seed=4)
     assert np.array_equal(a.coloring.values, b.coloring.values)
     assert a.changed_count == b.changed_count
 
