@@ -21,7 +21,6 @@ from .errors import CaseAAbort, RemovalLabError, ResourceCapError, RetryCapError
 from .fields import Subspace
 from .fourier import regularity_norm, transform
 from .patterns import (
-    Pattern,
     complexity1_check,
     pattern_stats,
     read_family,

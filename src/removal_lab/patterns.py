@@ -5,6 +5,11 @@ with a color requirement psi(i) for each of the k variables.  Solution tuples
 x in V^k of A x = 0 are enumerated through the null-space parametrization
 x = sum_j t_j N_j with t in V^m, m = k - rank A, which hits every solution
 exactly once.
+
+iter_matches is the one enumerate-and-match loop: every exact count and
+instance search (lam on indicators, pattern_stats, first_instance, and
+removal.count_inhomogeneous) filters the enumeration through boolean tables,
+one per variable, and reads its answer off the matched tuples.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ class Pattern:
         k = len(self.psi)
         if k < 1:
             raise ValueError("pattern needs at least one variable")
-        m = np.asarray(self.rows, dtype=np.int64) % self.p
-        m = m.reshape(-1, k) if m.size else np.zeros((0, k), dtype=np.int64)
+        m = np.atleast_2d(np.asarray(self.rows, dtype=np.int64)) % self.p
+        if m.size and (m.ndim != 2 or m.shape[1] != k):
+            raise ValueError(f"rows must have {k} columns, one per variable in psi")
+        m = m.reshape(-1, k)
         m.setflags(write=False)
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "psi", tuple(int(c) for c in self.psi))
@@ -93,8 +100,6 @@ class Pattern:
         except (TypeError, OverflowError):
             raise ValueError("pattern field 'rows' must hold rows of integers") from None
         psi = tuple(json_int(c, "pattern color") for c in d["psi"])
-        if rows.size == 0:
-            rows = np.zeros((0, len(psi)), dtype=np.int64)
         return Pattern(p, json_int(d["r"], "pattern field 'r'"), rows, psi)
 
 
@@ -171,6 +176,30 @@ def solutions(rows, space: Space, *, cap: int | None = None) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.ndarray]:
+    """Tables for iter_matches: table i marks the points colored psi[i].
+
+    With require_nonzero entry 0 is cleared, so every match has all coordinates nonzero.
+    """
+    tables = [coloring.values == c for c in psi]
+    if require_nonzero:
+        for t in tables:
+            t[0] = False
+    return tables
+
+
+def iter_matches(rows, tables: Sequence[np.ndarray], space: Space, *, cap: int | None = None) -> Iterator[np.ndarray]:
+    """Per solution chunk in enumeration order, the tuples x with tables[i][x_i] true for all i.
+
+    tables are boolean arrays of length |V|, one per variable.
+    """
+    for xs in iter_solution_chunks(rows, space, cap=cap):
+        hit = tables[0][xs[:, 0]]
+        for i in range(1, len(tables)):
+            hit &= tables[i][xs[:, i]]
+        yield xs[hit]
+
+
 # --- lambda counts ----------------------------------------------------------
 
 
@@ -201,16 +230,9 @@ def lam(rows, fs: Sequence[np.ndarray], space: Space) -> LambdaValue:
     for f in fs:
         if f.shape != (space.size,):
             raise ValueError("function table has wrong length")
-    all_ind = all(_is_indicator(f) for f in fs)
     total = solution_count(a, space)
-    if all_ind:
-        bools = [f > 0.5 for f in fs]
-        count = 0
-        for xs in iter_solution_chunks(a, space):
-            hit = bools[0][xs[:, 0]]
-            for i in range(1, k):
-                hit &= bools[i][xs[:, i]]
-            count += int(np.count_nonzero(hit))
+    if all(_is_indicator(f) for f in fs):
+        count = sum(xs.shape[0] for xs in iter_matches(a, [f > 0.5 for f in fs], space))
         exact = Fraction(count, total)
         return LambdaValue(float(exact), exact)
     acc = 0.0
@@ -282,17 +304,14 @@ def pattern_stats(pattern: Pattern, coloring, *, cap: int | None = None) -> Patt
         raise ValueError("pattern and coloring field mismatch")
     if coloring.r != pattern.r:
         raise ValueError("pattern and coloring color count mismatch")
-    want = np.array(pattern.psi, dtype=np.int64)
     m = pattern.num_free
     count = 0
     nonzero = 0
     generic = 0
-    for xs in iter_solution_chunks(pattern.rows, space, cap=cap):
-        match = (coloring.values[xs] == want[None, :]).all(axis=1)
-        count += int(np.count_nonzero(match))
-        nz = match & (xs != 0).all(axis=1)
-        nonzero += int(np.count_nonzero(nz))
-        sel = xs[nz]
+    for xs in iter_matches(pattern.rows, color_tables(coloring, pattern.psi), space, cap=cap):
+        count += xs.shape[0]
+        sel = xs[(xs != 0).all(axis=1)]
+        nonzero += sel.shape[0]
         for start in range(0, sel.shape[0], 1 << 13):
             block = sel[start : start + (1 << 13)]
             ranks = batch_rank(space.decode(block.reshape(-1)).reshape(block.shape[0], pattern.k, space.n), space.p)
@@ -310,15 +329,10 @@ def pattern_stats(pattern: Pattern, coloring, *, cap: int | None = None) -> Patt
 
 def first_instance(pattern: Pattern, coloring, *, require_nonzero: bool = True) -> np.ndarray | None:
     """First instance in enumeration order, or None; used for certificates."""
-    space = coloring.space
-    want = np.array(pattern.psi, dtype=np.int64)
-    for xs in iter_solution_chunks(pattern.rows, space):
-        ok = (coloring.values[xs] == want[None, :]).all(axis=1)
-        if require_nonzero:
-            ok &= (xs != 0).all(axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return xs[hits[0]].copy()
+    tables = color_tables(coloring, pattern.psi, require_nonzero=require_nonzero)
+    for xs in iter_matches(pattern.rows, tables, coloring.space):
+        if xs.shape[0]:
+            return xs[0].copy()
     return None
 
 
@@ -340,10 +354,7 @@ def subpattern(pattern: Pattern, indices: Sequence[int]) -> Pattern:
         raise ValueError(f"indices must lie in 1..{pattern.k}")
     cols = [i - 1 for i in idx]
     proj = pattern.null_basis()[:, cols]
-    arows = annihilator(proj, pattern.p)
-    if arows.size == 0:
-        arows = np.zeros((0, len(cols)), dtype=np.int64)
-    return Pattern(pattern.p, pattern.r, arows, tuple(pattern.psi[i] for i in cols))
+    return Pattern(pattern.p, pattern.r, annihilator(proj, pattern.p), tuple(pattern.psi[i] for i in cols))
 
 
 def subpattern_closure(family: Sequence[Pattern]) -> list[Pattern]:

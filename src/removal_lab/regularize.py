@@ -291,6 +291,17 @@ class RegularModel:
         return d
 
 
+def _max_restriction_norm(fs: Sequence[np.ndarray], space: Space, v2: Subspace, u_pts: np.ndarray) -> float:
+    """Largest regularity norm of any f on x + V_2 over the nonzero x in u_pts; 0.0 when there is none."""
+    nonzero = u_pts[u_pts != 0]
+    max_norm = 0.0
+    for f in fs:
+        norms, _ = batch_coset_norms(f, space, v2, nonzero)
+        if norms.size:
+            max_norm = max(max_norm, float(norms.max()))
+    return max_norm
+
+
 def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subspace, u: Subspace, eps: float) -> dict:
     """Re-measure the three regular-model conclusions from scratch.
 
@@ -317,12 +328,7 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
         worst_gap = max(worst_gap, float(gap.max()))
         bad |= gap > eps + FLOAT_TOL
     frac_bad = Fraction(int(np.count_nonzero(bad)), int(u_pts.size))
-    nonzero = u_pts[u_pts != 0]
-    max_norm = 0.0
-    for f in fs:
-        norms, _ = batch_coset_norms(f, space, v2, nonzero)
-        if norms.size:
-            max_norm = max(max_norm, float(norms.max()))
+    max_norm = _max_restriction_norm(fs, space, v2, u_pts)
     ok = (
         structural
         and frac_bad <= Fraction(eps) + Fraction(FLOAT_TOL)
@@ -488,12 +494,7 @@ def regularity_recolor(
             if Fraction(int(counts[c]), size2) < thresh:
                 cond2 = False
     # conclusion (3): regularity of the *original* indicators on x + V_2, x != 0
-    nonzero = u_pts[u_pts != 0]
-    max_norm = 0.0
-    for f in fs:
-        norms, _ = batch_coset_norms(f, space, v2, nonzero)
-        if norms.size:
-            max_norm = max(max_norm, float(norms.max()))
+    max_norm = _max_restriction_norm(fs, space, v2, u_pts)
     cond1 = d0 <= v1.codim <= v2.codim
     cond3 = max_norm <= eps_prime_final + FLOAT_TOL
     conditions = {

@@ -11,23 +11,23 @@ exhaustive enumeration, never inferred from the construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CaseAAbort, ResourceCapError, VerificationError
-from .fields import Subspace, null_space, rank, solve
+from .fields import Subspace, rank, solve
 from .patterns import (
     ENUMERATION_CAP,
     Pattern,
+    color_tables,
     complexity1_check,
     first_instance,
-    iter_solution_chunks,
+    iter_matches,
     lam,
     pattern_stats,
-    solution_count,
+    solutions,
     subpattern,
     subpattern_closure,
 )
@@ -337,41 +337,39 @@ class InhomReduction:
         )
 
 
+def _offset_points(offsets, space: Space) -> np.ndarray:
+    """Offsets as point codes; ValueError for a code outside [0, |V|)."""
+    pts = [int(o) for o in offsets]
+    if any(not 0 <= o < space.size for o in pts):
+        raise ValueError(f"offsets {pts} must be point codes of {space!r}, in [0, {space.size})")
+    return np.array(pts, dtype=np.int64)
+
+
+def _particular_solution(rows, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One u in (F_p^d)^k with A u = b for b of shape (l, d), as a (k, d) matrix; None when inconsistent."""
+    u = np.zeros((rows.shape[1], b.shape[1]), dtype=np.int64)
+    for axis in range(b.shape[1]):
+        col = solve(rows, b[:, axis], p)
+        if col is None:
+            return None
+        u[:, axis] = col
+    return u
+
+
 def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, b_offsets: np.ndarray, space: Space) -> list[tuple[int, ...]]:
-    """All u in B^k with A u = b, as tuples of point codes (possibly empty)."""
+    """All u in B^k with A u = b, as tuples of point codes (possibly empty).
+
+    u runs over one particular solution plus every solution of A y = 0 in
+    B-coordinates, in the solution enumeration order on F_p^dim B.
+    """
     p = space.p
-    d = b_sub.dim
-    if d == 0:
-        if np.any(b_offsets):
-            return []
-        return [(0,) * pattern.k]
-    # write b rows in B-coordinates; solve the scalar system once per axis
-    b_coords = np.zeros((b_offsets.shape[0], d), dtype=np.int64)
-    for s, b_pt in enumerate(b_offsets):
-        t = solve(b_sub.basis.T, space.decode(np.array([b_pt]))[0], p)
-        if t is None:
-            raise ValueError("offsets must lie in their own span")
-        b_coords[s] = t
-    per_axis: list[list[np.ndarray]] = []
-    for axis in range(d):
-        part = solve(pattern.rows, b_coords[:, axis], p) if pattern.rows.shape[0] else np.zeros(pattern.k, dtype=np.int64)
-        if part is None:
-            return []
-        basis = null_space(pattern.rows, p) if pattern.rows.shape[0] else np.eye(pattern.k, dtype=np.int64)
-        sols = []
-        tsp = Space(p, basis.shape[0]) if basis.shape[0] else None
-        count = p ** basis.shape[0]
-        for t_code in range(count):
-            t = tsp.decode(np.array([t_code]))[0] if tsp else np.zeros(0, dtype=np.int64)
-            sols.append((part + t @ basis) % p)
-        per_axis.append(sols)
-    out = []
-    for combo in itertools.product(*per_axis):
-        # combo[axis][i] is the B-coordinate of u_i along that axis
-        mat = np.stack(combo, axis=1)  # (k, d)
-        pts = space.encode(mat @ b_sub.basis % p)
-        out.append(tuple(int(x) for x in pts))
-    return out
+    # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
+    part = _particular_solution(pattern.rows, space.decode(b_offsets)[:, b_sub.pivots()], p)
+    if part is None:
+        return []
+    b_space = Space(p, b_sub.dim)
+    coords = (b_space.decode(solutions(pattern.rows, b_space)) + part) % p  # (count, k, dim B)
+    return [tuple(int(x) for x in row) for row in space.encode(coords @ b_sub.basis)]
 
 
 def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> InhomReduction:
@@ -388,14 +386,13 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     """
     space = phi.space
     r = phi.r
-    pairs = [(h, tuple(int(x) for x in b)) for h, b in pairs]
+    pairs = [(h, tuple(int(x) for x in _offset_points(b, space))) for h, b in pairs]
     for h, b in pairs:
         if h.p != space.p or h.r != r:
             raise ValueError("pattern and coloring disagree on (p, r)")
         if len(b) != h.rows.shape[0]:
             raise ValueError("need one offset per matrix row")
-    all_offsets = [x for _, b in pairs for x in b]
-    b_rows = space.decode(np.array(all_offsets, dtype=np.int64)) if all_offsets else np.zeros((0, space.n), dtype=np.int64)
+    b_rows = space.decode(np.array([x for _, b in pairs for x in b], dtype=np.int64))
     b_sub = Subspace.from_rows(space.p, space.n, b_rows)
     b_pts = space.subspace_points(b_sub, t_order=True)
     comp = b_sub.complement()
@@ -408,36 +405,29 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
         raise ResourceCapError("encoded color count exceeds the cap", requested=n_colors, cap=limit)
 
     # quotient coloring: little-endian base-r digits over the B-coset colors
-    tilde_pts = tilde_space.digits @ tilde_basis % space.p
+    base = space.encode(tilde_space.digits @ tilde_basis)
     codes = np.zeros(tilde_space.size, dtype=np.int64)
-    base = space.encode(tilde_pts)
     for j in reversed(range(b_pts.size)):
         shifted = space.add_points(base, int(b_pts[j]))
         codes = codes * r + (phi.values[shifted] - 1)
     tilde_phi = Coloring(tilde_space, n_colors, codes + 1)
 
+    # digit[c, j] is the phi-color (minus 1) at offset b_pts[j] that encoded color c + 1 records
+    encoded = np.arange(n_colors)
+    digit = encoded[:, None] // r ** np.arange(b_pts.size) % r
+    pos = {int(pt): idx for idx, pt in enumerate(b_pts)}
     expansions = []
     for h, b in pairs:
         u_tuples = _solve_offset_tuples(h, b_sub, np.array(b, dtype=np.int64), space)
         n_expected = len(u_tuples) * r ** (h.k * (int(b_pts.size) - 1))
         if n_expected > limit:
             raise ResourceCapError("expansion count exceeds the cap", requested=n_expected, cap=limit)
-        pos = {int(pt): idx for idx, pt in enumerate(b_pts)}
-        strides = r ** np.arange(b_pts.size)
         exp_list = []
         for u in u_tuples:
             # per variable: encoded colors whose digit at u_i equals psi(i)
-            per_var = []
-            for i in range(h.k):
-                digit_pos = pos[u[i]]
-                choices = []
-                for code in range(n_colors):
-                    digits = (code // strides) % r
-                    if digits[digit_pos] == h.psi[i] - 1:
-                        choices.append(code + 1)
-                per_var.append(choices)
+            per_var = [(encoded[digit[:, pos[u[i]]] == h.psi[i] - 1] + 1).tolist() for i in range(h.k)]
             for combo in itertools.product(*per_var):
-                exp_list.append(ExpandedPattern(u, Pattern(space.p, n_colors, h.rows, tuple(combo))))
+                exp_list.append(ExpandedPattern(u, Pattern(space.p, n_colors, h.rows, combo)))
         if u_tuples:
             expected = (
                 space.p ** (b_sub.dim * (h.k - rank(h.rows, space.p)))
@@ -458,29 +448,15 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
 
 
 def count_inhomogeneous(phi: Coloring, pattern: Pattern, offsets) -> int:
-    """Direct count of x with A x = b and matching colors, for cross-checks."""
+    """Direct count of x with A x = b and matching colors, for cross-checks.
+
+    x = u + y with u a particular solution and A y = 0: each color table is
+    shifted once by u_i and matched against the solutions y.
+    """
     space = phi.space
-    b = np.array([space.decode(np.array([int(o)]))[0] for o in offsets], dtype=np.int64).reshape(
-        len(tuple(offsets)), space.n
-    )
-    part = None
-    if pattern.rows.shape[0]:
-        # particular solution per coordinate axis of V
-        parts = []
-        for axis in range(space.n):
-            sol = solve(pattern.rows, b[:, axis], space.p)
-            if sol is None:
-                return 0
-            parts.append(sol)
-        part = np.stack(parts, axis=1)  # (k, n)
-    else:
-        if np.any(b):
-            return 0
-        part = np.zeros((pattern.k, space.n), dtype=np.int64)
-    shift = space.encode(part)
-    want = np.array(pattern.psi, dtype=np.int64)
-    total = 0
-    for xs in iter_solution_chunks(pattern.rows, space):
-        moved = np.stack([space.add_points(xs[:, i], int(shift[i])) for i in range(pattern.k)], axis=1)
-        total += int(np.count_nonzero((phi.values[moved] == want[None, :]).all(axis=1)))
-    return total
+    part = _particular_solution(pattern.rows, space.decode(_offset_points(offsets, space)), space.p)
+    if part is None:
+        return 0
+    pts = np.arange(space.size)
+    tables = [t[space.add_points(pts, int(u))] for t, u in zip(color_tables(phi, pattern.psi), space.encode(part))]
+    return sum(xs.shape[0] for xs in iter_matches(pattern.rows, tables, space))

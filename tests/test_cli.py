@@ -247,13 +247,18 @@ def test_reduce_quotient_coloring(workdir, capsys):
     assert read_coloring(out_path).r == 4
 
 
-def test_reduce_group_count_mismatch_is_usage_error(workdir, capsys):
-    code, _, err = run_cli(
+@pytest.mark.parametrize(
+    "offsets,message",
+    [("1;2", "offset group"), ("99999", "point code"), ("-1", "point code")],
+    ids=["group-count", "offset-above-space", "negative-offset"],
+)
+def test_reduce_group_count_mismatch_is_usage_error(workdir, capsys, offsets, message):
+    code, out, err = run_cli(
         capsys, "reduce", "--family", str(workdir / "fam.json"),
-        "--coloring", str(workdir / "phi.json"), "--offsets", "1;2",
+        "--coloring", str(workdir / "phi.json"), "--offsets", offsets,
     )
     assert code == 1
-    assert "offset group" in err
+    assert out == "" and message in err
 
 
 def test_usage_errors_exit_one(workdir, capsys):
@@ -297,8 +302,12 @@ def test_console_entry_point_runs():
         (["complexity", "--pattern"], "h.json", '{"p": 5, "r": 1, "rows": [[1, null, 1]], "psi": [1, 1, 1]}\n'),
         (["stats", "--pattern", "h.json", "--coloring"], "c.json", "5\n1\n"),
         (["fourier", "--table"], "t.json", '{"p": 2, "n": null}\n0.5\n'),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h6.json", '{"p": 2, "r": 2, "rows": [[1, 1, 1, 1, 1, 1]], "psi": [1, 1, 1]}\n'),
     ],
-    ids=["family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field"],
+    ids=[
+        "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
+        "rows-wider-than-psi",
+    ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):
     (workdir / name).write_text(text)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -22,6 +24,7 @@ from removal_lab.patterns import (
     write_family,
     write_pattern,
 )
+from removal_lab.removal import count_inhomogeneous
 from removal_lab.space import Coloring, Space
 from removal_lab.errors import ResourceCapError, UnsupportedCharacteristicError
 
@@ -337,3 +340,56 @@ def test_family_file_must_be_a_list(tmp_path):
     path.write_text('{"p": 5}\n')
     with pytest.raises(ValueError):
         read_family(path)
+
+
+# --- the enumerate-and-match kernel against brute force over V^k ---------------
+
+
+@st.composite
+def kernel_cases(draw):
+    """(pattern, coloring, offsets) on a space of at most 8 points, k <= 4."""
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1)]))
+    sp = Space(p, n)
+    k = draw(st.integers(1, 4))
+    l = draw(st.integers(0, 3))
+    r = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=l * k, max_size=l * k))
+    psi = draw(st.lists(st.integers(1, r), min_size=k, max_size=k))
+    values = draw(st.lists(st.integers(1, r), min_size=sp.size, max_size=sp.size))
+    offsets = draw(st.lists(st.integers(0, sp.size - 1), min_size=l, max_size=l))
+    h = Pattern(p, r, np.array(entries, dtype=np.int64).reshape(l, k), tuple(psi))
+    return h, Coloring(sp, r, np.array(values, dtype=np.int64)), tuple(offsets)
+
+
+@given(kernel_cases())
+@settings(max_examples=200, deadline=None)
+def test_kernel_counts_match_brute_force(case):
+    h, col, offsets = case
+    sp, p = col.space, col.space.p
+    tuples = np.array(list(itertools.product(range(sp.size), repeat=h.k)), dtype=np.int64)
+    lhs = np.einsum("lk,bkn->bln", h.rows, sp.digits[tuples]) % p  # A x for every x in V^k
+    homogeneous = ~lhs.any(axis=(1, 2))
+    inhomogeneous = (lhs == sp.digits[list(offsets)][None]).all(axis=(1, 2))
+    colored = (col.values[tuples] == np.array(h.psi)).all(axis=1)
+    nonzero = (tuples != 0).all(axis=1)
+    instances = homogeneous & colored
+    generic = sum(rank(sp.digits[x], p) == h.num_free for x in tuples[instances & nonzero])
+
+    stats = pattern_stats(h, col)
+    assert stats.total_solutions == np.count_nonzero(homogeneous)
+    assert stats.instance_count == np.count_nonzero(instances)
+    assert stats.nonzero_instance_count == np.count_nonzero(instances & nonzero)
+    assert stats.generic_count == generic
+    fs = [col.indicator(c) for c in h.psi]
+    assert lam(h.rows, fs, sp).exact == Fraction(int(np.count_nonzero(instances)), int(np.count_nonzero(homogeneous)))
+    assert count_inhomogeneous(col, h, offsets) == np.count_nonzero(inhomogeneous & colored)
+
+    # first_instance is the first match in solutions() order, which lists the solution set once
+    order = solutions(h.rows, sp)
+    assert sorted(map(tuple, order)) == sorted(map(tuple, tuples[homogeneous]))
+    for require_nonzero in (True, False):
+        wanted = {tuple(x) for x in tuples[instances & nonzero if require_nonzero else instances]}
+        expect = next((x for x in order if tuple(x) in wanted), None)
+        got = first_instance(h, col, require_nonzero=require_nonzero)
+        assert (got is None) == (expect is None)
+        assert got is None or np.array_equal(got, expect)

@@ -299,6 +299,17 @@ def test_count_inhomogeneous_brute_force_oracle():
     assert direct == brute
 
 
+@pytest.mark.parametrize("offset", [8, 99999, -1])
+def test_offsets_outside_the_space_are_refused(offset):
+    sp = Space(2, 3)
+    phi = Coloring(sp, 2, np.ones(sp.size, dtype=np.int64))
+    h = Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))
+    with pytest.raises(ValueError, match="point code"):
+        count_inhomogeneous(phi, h, (offset,))
+    with pytest.raises(ValueError, match="point code"):
+        inhomogeneous_reduce(phi, [(h, (offset,))])
+
+
 def test_count_inhomogeneous_inconsistent_system_is_zero():
     sp = Space(2, 3)
     phi = Coloring(sp, 2, np.ones(sp.size, dtype=np.int64))
