@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -76,6 +77,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="removal-lab", description=__doc__)
     top.add_argument("--cap", type=_positive_int, help="override the ambient point cap")
@@ -112,19 +120,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = cmd("regularize", help="refine V until all color indicators are mostly regular")
     s.add_argument("--coloring", required=True)
-    s.add_argument("--eps", type=float, required=True)
+    s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--out")
 
     s = cmd("model", help="verified regular model for the color indicators")
     s.add_argument("--coloring", required=True)
-    s.add_argument("--eps", type=float, required=True)
+    s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
 
     s = cmd("recolor", help="regularize a coloring by changing few points")
     s.add_argument("--coloring", required=True)
-    s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--eps-reg", type=float, default=0.05)
+    s.add_argument("--eps", type=_finite_float, required=True)
+    s.add_argument("--eps-reg", type=_finite_float, default=0.05)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="path for the recolored coloring")
 
@@ -135,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = cmd("remove", help="make a coloring family-free by bounded recoloring")
     s.add_argument("--family", required=True)
     s.add_argument("--coloring", required=True)
-    s.add_argument("--eps", type=float, required=True)
-    s.add_argument("--eps-rado", type=float, default=0.1)
-    s.add_argument("--eps-reg", type=float, default=0.05)
+    s.add_argument("--eps", type=_finite_float, required=True)
+    s.add_argument("--eps-rado", type=_finite_float, default=0.1)
+    s.add_argument("--eps-reg", type=_finite_float, default=0.05)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--acknowledge-complexity", action="store_true",
                    help="run even if the complexity-1 criterion fails or cannot be decided")

@@ -416,8 +416,7 @@ class RecolorReport:
 
 def _leading_kill_subspace(space: Space, codim: int) -> Subspace:
     """The deterministic codim-d subspace {x : x_0 = ... = x_{d-1} = 0}."""
-    rows = np.eye(space.n, dtype=np.int64)[codim:]
-    return Subspace.from_rows(space.p, space.n, rows if rows.size else np.zeros((0, space.n), dtype=np.int64))
+    return Subspace.from_rows(space.p, space.n, np.eye(space.n, dtype=np.int64)[codim:])
 
 
 def regularity_recolor(
@@ -434,6 +433,12 @@ def regularity_recolor(
     (3) is allowed to depend on codim V_1; realized as a fixpoint loop over the
     codimension guess).  The three conclusions are re-measured exactly and the
     change budget is asserted.
+
+    The repaint is one pass over coset ids.  A color c is dense in a V_2-coset
+    when it colors at least need = ceil(eps |V_2| / (2r)) of its points, the
+    exact integer form of density >= eps / (2r).  Each point y, with x the
+    point of U in y + V_1, keeps its color when that color is dense in
+    x + V_2, and otherwise takes the smallest color dense there.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
@@ -460,39 +465,30 @@ def regularity_recolor(
         d = d_new
 
     v1, v2, u = model.v1, model.v2, model.u
+    ids1, _ = space.coset_ids(v1)
+    ids2, _ = space.coset_ids(v2)
     u_pts = space.subspace_points(u)
-    size2 = space.p**v2.dim
-    thresh = Fraction(eps) / (2 * r)
-    new_values = coloring.values.copy()
-    for x in u_pts:
-        pts2 = space.coset_points(int(x), v2)
-        counts = np.bincount(coloring.values[pts2], minlength=r + 1)
-        dense = [c for c in range(1, r + 1) if Fraction(int(counts[c]), size2) >= thresh]
-        assert dense, "pigeonhole guarantees a dense color for eps <= 1"
-        i_x = dense[0]
-        low = np.zeros(r + 1, dtype=bool)
-        low[1:] = True
-        low[dense] = False
-        pts1 = space.coset_points(int(x), v1)
-        vals1 = new_values[pts1]
-        vals1[low[coloring.values[pts1]]] = i_x
-        new_values[pts1] = vals1
-    recolored = Coloring(space, r, new_values)
+    # U is a complement of V_1, so each V_1-coset holds exactly one x in U;
+    # central[y] is the id of x + V_2 for the x in y + V_1
+    x_of = np.empty(space.p**v1.codim, dtype=np.int64)
+    x_of[ids1[u_pts]] = u_pts
+    central = ids2[x_of[ids1]]
+    counts = np.bincount(ids2 * (r + 1) + coloring.values, minlength=space.p**v2.codim * (r + 1))
+    counts = counts.reshape(-1, r + 1)
+    # counts are integers: count / |V_2| >= eps / (2r) iff count >= need
+    need = math.ceil(Fraction(eps) * space.p**v2.dim / (2 * r))
+    dense = counts >= need
+    dense[:, 0] = False
+    assert dense[ids2[u_pts]].any(axis=1).all(), "pigeonhole guarantees a dense color for eps <= 1"
+    keep = dense[central, coloring.values]
+    recolored = Coloring(space, r, np.where(keep, coloring.values, dense.argmax(axis=1)[central]))
     changed = recolored.changed_from(coloring)
     assert Fraction(changed, space.size) <= Fraction(eps), (
         f"recolored {changed} points, budget {eps}|V|"
     )
 
     # conclusion (2): every surviving color is dense in the V_2-coset, exactly
-    cond2 = True
-    for x in u_pts:
-        pts1 = space.coset_points(int(x), v1)
-        pts2 = space.coset_points(int(x), v2)
-        counts = np.bincount(coloring.values[pts2], minlength=r + 1)
-        appearing = np.unique(recolored.values[pts1])
-        for c in appearing:
-            if Fraction(int(counts[c]), size2) < thresh:
-                cond2 = False
+    cond2 = bool((counts[central, recolored.values] >= need).all())
     # conclusion (3): regularity of the *original* indicators on x + V_2, x != 0
     max_norm = _max_restriction_norm(fs, space, v2, u_pts)
     cond1 = d0 <= v1.codim <= v2.codim

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import CaseAAbort, ResourceCapError, VerificationError
 from .fields import Subspace, rank, solve
 from .patterns import (
-    ENUMERATION_CAP,
     Pattern,
     color_tables,
     complexity1_check,
@@ -34,6 +33,11 @@ from .patterns import (
 from .ramsey import Dichotomy, canonical_coloring, decide_dichotomy
 from .regularize import RecolorReport, regularity_recolor
 from .space import Coloring, Space
+
+# inhomogeneous_reduce builds one Python Pattern per expansion and an
+# (r^|B|, |B|) int64 digit table, so its default cap is sized for memory
+# rather than for the array enumeration that ENUMERATION_CAP bounds
+REDUCE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -356,19 +360,15 @@ def _particular_solution(rows, b: np.ndarray, p: int) -> np.ndarray | None:
     return u
 
 
-def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, b_offsets: np.ndarray, space: Space) -> list[tuple[int, ...]]:
-    """All u in B^k with A u = b, as tuples of point codes (possibly empty).
+def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, part: np.ndarray, space: Space) -> list[tuple[int, ...]]:
+    """All u in B^k with A u = b, as tuples of point codes.
 
-    u runs over one particular solution plus every solution of A y = 0 in
-    B-coordinates, in the solution enumeration order on F_p^dim B.
+    u runs over the particular solution part (in B-coordinates) plus every
+    solution of A y = 0 in B-coordinates, in the solution enumeration order
+    on F_p^dim B.
     """
-    p = space.p
-    # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
-    part = _particular_solution(pattern.rows, space.decode(b_offsets)[:, b_sub.pivots()], p)
-    if part is None:
-        return []
-    b_space = Space(p, b_sub.dim)
-    coords = (b_space.decode(solutions(pattern.rows, b_space)) + part) % p  # (count, k, dim B)
+    b_space = Space(space.p, b_sub.dim)
+    coords = (b_space.decode(solutions(pattern.rows, b_space)) + part) % space.p  # (count, k, dim B)
     return [tuple(int(x) for x in row) for row in space.encode(coords @ b_sub.basis)]
 
 
@@ -382,7 +382,9 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     t-order of B), and every pair expands into patterns over the quotient
     whose instances correspond bijectively to the original inhomogeneous
     instances.  The expected expansion count |B|^(k - rank A) * r^(k(|B|-1))
-    is asserted whenever the offset system is consistent.
+    is asserted whenever the offset system is consistent.  The r^|B| x |B|
+    encoded color table and the total expansion count are checked against
+    cap (default REDUCE_CAP) before either is built.
     """
     space = phi.space
     r = phi.r
@@ -399,10 +401,22 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     tilde_basis = comp.basis
     tilde_space = Space(space.p, comp.dim)
 
-    limit = cap if cap is not None else ENUMERATION_CAP
-    n_colors = r ** int(b_pts.size)
-    if n_colors > limit:
-        raise ResourceCapError("encoded color count exceeds the cap", requested=n_colors, cap=limit)
+    limit = REDUCE_CAP if cap is None else cap
+    b_size = int(b_pts.size)
+    n_colors = r**b_size
+    if n_colors * b_size > limit:
+        # a report cannot print an integer of more than 4300 digits
+        table = n_colors * b_size if n_colors.bit_length() <= 4096 else f"{r}^{b_size} * {b_size}"
+        raise ResourceCapError("encoded color table exceeds the cap", requested=table, cap=limit)
+    # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
+    parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
+    # |B|^(k - rank A) * r^(k(|B|-1)) expansions for a consistent offset system, none otherwise
+    sizes = [
+        0 if part is None else space.p ** (b_sub.dim * (h.k - rank(h.rows, space.p))) * r ** (h.k * (b_size - 1))
+        for (h, _), part in zip(pairs, parts)
+    ]
+    if sum(sizes) > limit:
+        raise ResourceCapError("expansion count exceeds the cap", requested=sum(sizes), cap=limit)
 
     # quotient coloring: little-endian base-r digits over the B-coset colors
     base = space.encode(tilde_space.digits @ tilde_basis)
@@ -417,23 +431,14 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     digit = encoded[:, None] // r ** np.arange(b_pts.size) % r
     pos = {int(pt): idx for idx, pt in enumerate(b_pts)}
     expansions = []
-    for h, b in pairs:
-        u_tuples = _solve_offset_tuples(h, b_sub, np.array(b, dtype=np.int64), space)
-        n_expected = len(u_tuples) * r ** (h.k * (int(b_pts.size) - 1))
-        if n_expected > limit:
-            raise ResourceCapError("expansion count exceeds the cap", requested=n_expected, cap=limit)
+    for (h, _), part, size in zip(pairs, parts, sizes):
         exp_list = []
-        for u in u_tuples:
+        for u in [] if part is None else _solve_offset_tuples(h, b_sub, part, space):
             # per variable: encoded colors whose digit at u_i equals psi(i)
             per_var = [(encoded[digit[:, pos[u[i]]] == h.psi[i] - 1] + 1).tolist() for i in range(h.k)]
             for combo in itertools.product(*per_var):
                 exp_list.append(ExpandedPattern(u, Pattern(space.p, n_colors, h.rows, combo)))
-        if u_tuples:
-            expected = (
-                space.p ** (b_sub.dim * (h.k - rank(h.rows, space.p)))
-                * r ** (h.k * (int(b_pts.size) - 1))
-            )
-            assert len(exp_list) == expected, "expansion count mismatch"
+        assert len(exp_list) == size, "expansion count mismatch"
         expansions.append(tuple(exp_list))
     return InhomReduction(
         space=space,

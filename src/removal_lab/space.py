@@ -170,7 +170,8 @@ class Space:
         pows = self.p ** np.arange(c, dtype=np.int64)
         ids = (self.digits @ y.T % self.p) @ pows
         reps = np.full(self.p**c, -1, dtype=np.int64)
-        comp_pts = self.subspace_points(sub.complement())
+        # the points zero at every pivot of sub: the deterministic complement
+        comp_pts = np.flatnonzero(~self.digits[:, sub.pivots()].any(axis=1))
         reps[ids[comp_pts]] = comp_pts
         assert (reps >= 0).all()
         return ids, reps

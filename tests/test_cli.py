@@ -274,6 +274,25 @@ def test_usage_errors_exit_one(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recolor", "--coloring", "phi.json", "--eps", "1", "--eps-reg", "nan"],
+        ["remove", "--family", "fam.json", "--coloring", "phi.json", "--eps", "1", "--eps-reg", "nan"],
+        ["remove", "--family", "fam.json", "--coloring", "phi.json", "--eps", "1", "--eps-rado", "nan"],
+        ["model", "--coloring", "phi.json", "--eps", "inf"],
+        ["regularize", "--coloring", "phi.json", "--eps", "inf"],
+    ],
+    ids=["recolor-eps-reg-nan", "remove-eps-reg-nan", "remove-eps-rado-nan", "model-eps-inf", "regularize-eps-inf"],
+)
+def test_non_finite_eps_is_a_usage_error(workdir, capsys, argv):
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_is_a_usage_error(workdir, capsys):
     code, _, err = run_cli(
         capsys, "density", "--pattern", str(workdir / "nope.json"),
@@ -345,3 +364,25 @@ def test_huge_prime_refused_before_trial_division(workdir):
     evidence = json.loads(out.stdout)
     assert evidence["error"] == "ResourceCapError"
     assert evidence["requested"] == p
+
+
+@pytest.mark.parametrize(
+    "n,r,members,offsets,requested",
+    [
+        (4, 2, [([[1, 1, 0], [0, 1, 1]], (1, 2, 1)), ([[1, 1, 1]], (1, 1, 1))], "1,2;4", 72 * 2**21),
+        (5, 3, [(np.eye(4, dtype=np.int64), (1, 1, 1, 1))], "1,2,4,8", 16 * 3**16),
+        (15, 2, [([[1, 1, 1]], (1, 1, 1))] * 15, ";".join(str(2**i) for i in range(15)), "2^32768 * 32768"),
+    ],
+    ids=["expansions", "color-table", "color-count-too-long-to-print"],
+)
+def test_reduce_refused_before_building(workdir, n, r, members, offsets, requested):
+    sp = Space(2, n)
+    rng = np.random.default_rng(4)
+    write_coloring(workdir / "cr.json", Coloring(sp, r, rng.integers(1, r + 1, sp.size).astype(np.int64)))
+    write_family(workdir / "famr.json", [Pattern(2, r, rows, psi) for rows, psi in members])
+    out = _run_subprocess(workdir, "reduce", "--family", "famr.json", "--coloring", "cr.json", "--offsets", offsets)
+    assert out.returncode == 2
+    evidence = json.loads(out.stdout)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == requested
+    assert evidence["cap"] == 10**6

@@ -33,11 +33,17 @@ def write_inputs(tmp_path):
     rng = np.random.default_rng(0)
     write_coloring(tmp_path / "rand3.json", Coloring(Space(3, 3), 2, rng.integers(1, 3, 27).astype(np.int64)))
     write_family(tmp_path / "mono3.json", [Pattern(3, 2, [[1, 1, 2]], (c,) * 3) for c in (1, 2)])
+    # codim V_1 = 6 < codim V_2 = 8 < 12, and the recoloring repaints one point
+    write_coloring(tmp_path / "canon2.json", canonical_coloring(Space(2, 12), (2,)))
 
 
 RUNS = {
     "model": (0, ["model", "--coloring", "quarter.json", "--eps", "0.5", "--seed", "3"]),
     "recolor": (0, ["recolor", "--coloring", "quarter.json", "--eps", "1", "--eps-reg", "0.5", "--seed", "1"]),
+    "recolor_repaint": (
+        0,
+        ["recolor", "--coloring", "canon2.json", "--eps", "0.5", "--eps-reg", "0.3", "--seed", "1"],
+    ),
     "remove_case_b": (
         0,
         ["remove", "--family", "mono5.json", "--coloring", "canon5.json", "--eps", "1", "--eps-rado", "0.01"],

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from removal_lab.errors import SpaceExhaustedError
 from removal_lab.fields import Subspace
 from removal_lab.fourier import batch_coset_norms
+from removal_lab.ramsey import canonical_coloring
 from removal_lab.regularize import (
     green_regularize,
     regular_model,
@@ -204,3 +206,33 @@ def test_recolor_monochromatic_input_is_untouched():
     rep = regularity_recolor(col, 0.5, 0.25, seed=0)
     assert rep.changed_count == 0
     assert np.array_equal(rep.coloring.values, col.values)
+
+
+def test_recolor_follows_the_density_rule_per_coset():
+    # the rule re-derived coset by coset through coset_points, a route independent of coset_ids
+    rng = np.random.default_rng(1)
+    cases = [(canonical_coloring(Space(2, 10), (2,)), 1.0)]
+    for p, n, modulus, flips, eps in [(2, 10, 4, 1, 1.0), (2, 10, 8, 1, 1.0), (2, 8, 2, 0, 0.5), (3, 5, 9, 0, 0.5)]:
+        vals = np.where(np.arange(p**n) % modulus == 0, 1, 2)
+        idx = rng.choice(vals.size, flips, replace=False)
+        vals[idx] = 3 - vals[idx]
+        cases.append((Coloring(Space(p, n), 2, vals), eps))
+    for modulus, lone in [(4, 6), (8, 0)]:
+        vals = np.where(np.arange(2**12) % modulus == 0, 3, 2)
+        vals[lone] = 1
+        cases.append((Coloring(Space(2, 12), 3, vals), 1.0))
+    cases.append((Coloring(Space(3, 4), 3, rng.integers(1, 4, 81).astype(np.int64)), 0.5))
+    repainted = nontrivial = 0
+    for col, eps in cases:
+        rep = regularity_recolor(col, eps, 0.5, seed=1)
+        sp, r, v1, v2 = col.space, col.r, rep.model.v1, rep.model.v2
+        for x in sp.subspace_points(rep.model.u):
+            counts = np.bincount(col.values[sp.coset_points(int(x), v2)], minlength=r + 1)
+            size2 = sp.p**v2.dim
+            dense = [c for c in range(1, r + 1) if Fraction(int(counts[c]), size2) >= Fraction(eps) / (2 * r)]
+            pts1 = sp.coset_points(int(x), v1)
+            want = np.where(np.isin(col.values[pts1], dense), col.values[pts1], min(dense))
+            assert np.array_equal(rep.coloring.values[pts1], want)
+        repainted += rep.changed_count > 0
+        nontrivial += v1.codim < sp.n
+    assert repainted >= 4 and nontrivial >= 6

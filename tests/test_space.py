@@ -90,6 +90,14 @@ class TestSubspacePoints:
         assert (counts == 3).all()
         # every rep belongs to its own class
         assert np.array_equal(ids[reps], np.arange(reps.size))
+        # the reps are the points of the deterministic complement, one per class
+        rng = np.random.default_rng(5)
+        subs = [sub, Subspace.zero(3, 4), Subspace.full(3, 4)]
+        subs += [Subspace.from_rows(3, 4, rng.integers(0, 3, (k, 4))) for k in (1, 2, 2, 3)]
+        for s in subs:
+            ids, reps = sp.coset_ids(s)
+            assert np.array_equal(ids[reps], np.arange(reps.size))
+            assert np.array_equal(np.sort(reps), sp.subspace_points(s.complement()))
 
 
 def test_coset_restrict_values():
