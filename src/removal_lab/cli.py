@@ -312,6 +312,8 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --cap holds for this call only: the caller's value, or its absence, comes back
+    saved = os.environ.get(CAP_ENV_VAR)
     if args.cap is not None:
         os.environ[CAP_ENV_VAR] = str(args.cap)
     try:
@@ -321,6 +323,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        os.environ.pop(CAP_ENV_VAR, None)
+        if saved is not None:
+            os.environ[CAP_ENV_VAR] = saved
 
 
 if __name__ == "__main__":

@@ -161,6 +161,10 @@ class Subspace:
     def pivots(self) -> list[int]:
         return [int(np.nonzero(row)[0][0]) for row in self.basis]
 
+    def free_columns(self) -> list[int]:
+        pivots = set(self.pivots())
+        return [c for c in range(self.n) if c not in pivots]
+
     def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=np.int64).reshape(-1) % self.p
         for row in self.basis:
@@ -195,8 +199,7 @@ class Subspace:
         the deterministic complement into self, so sampling the map's matrix
         uniformly samples complements uniformly.
         """
-        pivs = set(self.pivots())
-        det_rows = np.eye(self.n, dtype=np.int64)[[c for c in range(self.n) if c not in pivs]]
+        det_rows = np.eye(self.n, dtype=np.int64)[self.free_columns()]
         if seed is None or self.dim == 0 or det_rows.shape[0] == 0:
             return Subspace.from_rows(self.p, self.n, det_rows)
         rng = np.random.default_rng(seed)

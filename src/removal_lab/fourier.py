@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .space import Space, _digit_table
+from .space import Space
 
 FLOAT_TOL = 1e-9
 
@@ -70,15 +70,14 @@ def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.n
     d = sub.dim
     if d == 0:
         return np.zeros(reps.size), np.full(reps.size, -1, dtype=np.int64)
-    grid = _digit_table(space.p, d) @ sub.basis % space.p
+    size = space.p**d
     norms = np.empty(reps.size)
     wits = np.empty(reps.size, dtype=np.int64)
-    block = max(1, (1 << 22) // grid.shape[0])
+    block = max(1, (1 << 22) // size)
     for start in range(0, reps.size, block):
         sel = reps[start : start + block]
-        pts = ((space.decode(sel)[:, None, :] + grid[None, :, :]) % space.p) @ space.powers
-        tables = v[pts].reshape(sel.size, *(space.p,) * d)
-        hats = np.fft.fftn(tables, axes=range(1, d + 1)).reshape(sel.size, -1) / grid.shape[0]
+        tables = v[space.coset_points(sel, sub)].reshape(sel.size, *(space.p,) * d)
+        hats = np.fft.fftn(tables, axes=range(1, d + 1)).reshape(sel.size, -1) / size
         mags = np.abs(hats)
         mags[:, 0] = -1.0
         w = np.argmax(mags, axis=1)

@@ -150,9 +150,11 @@ def iter_solution_chunks(rows, space: Space, *, chunk: int = 1 << 17, cap: int |
     total = space.size**m
     limit = ENUMERATION_CAP if cap is None else cap
     if total > limit:
+        # a report cannot print an integer of more than 4300 digits
+        requested = total if total.bit_length() <= 4096 else f"{space.size}^{m}"
         raise ResourceCapError(
-            f"solution enumeration needs {total} tuples, cap is {limit}",
-            requested=total,
+            f"solution enumeration needs {requested} tuples, cap is {limit}",
+            requested=requested,
             cap=limit,
         )
     digits = space.digits

@@ -109,7 +109,7 @@ class GreenReport:
 
 def _coset_irregularity(fs, space, sub, eps):
     """Per function: (bad rep positions, witnesses, fraction) over a transversal."""
-    reps = space.subspace_points(sub.complement())
+    reps = space.transversal(sub)
     out = []
     for f in fs:
         norms, wits = batch_coset_norms(f, space, sub, reps)
@@ -236,7 +236,9 @@ def strong_regularize(
         eps_m = eps_seq(vs[-1].codim)
         g = green_regularize(fs, space, vs[-1], eps_m)
         vs.append(g.v1)
-        stages.append(StrongStage(m + 1, eps_m, g.v1.codim, _coset_energy(fs, space, g.v1)))
+        # the pass measured the energy of its last subspace; without a round it is unchanged
+        energy = g.rounds[-1].energy_after if g.rounds else stages[-1].energy
+        stages.append(StrongStage(m + 1, eps_m, g.v1.codim, energy))
         if stages[-1].energy - stages[-2].energy <= delta:
             break
     else:
@@ -291,17 +293,6 @@ class RegularModel:
         return d
 
 
-def _max_restriction_norm(fs: Sequence[np.ndarray], space: Space, v2: Subspace, u_pts: np.ndarray) -> float:
-    """Largest regularity norm of any f on x + V_2 over the nonzero x in u_pts; 0.0 when there is none."""
-    nonzero = u_pts[u_pts != 0]
-    max_norm = 0.0
-    for f in fs:
-        norms, _ = batch_coset_norms(f, space, v2, nonzero)
-        if norms.size:
-            max_norm = max(max_norm, float(norms.max()))
-    return max_norm
-
-
 def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subspace, u: Subspace, eps: float) -> dict:
     """Re-measure the three regular-model conclusions from scratch.
 
@@ -311,11 +302,7 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     U.  Returns a dict with an overall "ok" plus the measurements.
     """
     fs = _check_tables(fs, space)
-    structural = (
-        v2.leq(v1)
-        and u.meet(v1).dim == 0
-        and u.join(v1).dim == space.n
-    )
+    structural = v2.leq(v1) and u.meet(v1).dim == 0 and u.join(v1).dim == space.n
     ids1, _ = space.coset_ids(v1)
     ids2, _ = space.coset_ids(v2)
     u_pts = space.subspace_points(u)
@@ -328,7 +315,8 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
         worst_gap = max(worst_gap, float(gap.max()))
         bad |= gap > eps + FLOAT_TOL
     frac_bad = Fraction(int(np.count_nonzero(bad)), int(u_pts.size))
-    max_norm = _max_restriction_norm(fs, space, v2, u_pts)
+    nonzero = u_pts[u_pts != 0]
+    max_norm = max(float(batch_coset_norms(f, space, v2, nonzero)[0].max(initial=0.0)) for f in fs)
     ok = (
         structural
         and frac_bad <= Fraction(eps) + Fraction(FLOAT_TOL)
@@ -431,8 +419,9 @@ def regularity_recolor(
     eps_prime may be a float (plain mode) or a nonincreasing callable of the
     codimension (sequence mode, where the regularity achieved in conclusion
     (3) is allowed to depend on codim V_1; realized as a fixpoint loop over the
-    codimension guess).  The three conclusions are re-measured exactly and the
-    change budget is asserted.
+    codimension guess).  Conclusions (1) and (2) are re-measured exactly, (3)
+    is checked against the restriction norm verify_model measured for the
+    returned model, and the change budget is asserted.
 
     The repaint is one pass over coset ids.  A color c is dense in a V_2-coset
     when it colors at least need = ceil(eps |V_2| / (2r)) of its points, the
@@ -489,8 +478,9 @@ def regularity_recolor(
 
     # conclusion (2): every surviving color is dense in the V_2-coset, exactly
     cond2 = bool((counts[central, recolored.values] >= need).all())
-    # conclusion (3): regularity of the *original* indicators on x + V_2, x != 0
-    max_norm = _max_restriction_norm(fs, space, v2, u_pts)
+    # conclusion (3): regularity of the *original* indicators on x + V_2, x != 0,
+    # as verify_model measured it for this model from the same fs, V_2 and U
+    max_norm = model.details["max_restriction_norm"]
     cond1 = d0 <= v1.codim <= v2.codim
     cond3 = max_norm <= eps_prime_final + FLOAT_TOL
     conditions = {

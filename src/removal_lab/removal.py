@@ -398,7 +398,6 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     b_sub = Subspace.from_rows(space.p, space.n, b_rows)
     b_pts = space.subspace_points(b_sub, t_order=True)
     comp = b_sub.complement()
-    tilde_basis = comp.basis
     tilde_space = Space(space.p, comp.dim)
 
     limit = REDUCE_CAP if cap is None else cap
@@ -418,13 +417,9 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     if sum(sizes) > limit:
         raise ResourceCapError("expansion count exceeds the cap", requested=sum(sizes), cap=limit)
 
-    # quotient coloring: little-endian base-r digits over the B-coset colors
-    base = space.encode(tilde_space.digits @ tilde_basis)
-    codes = np.zeros(tilde_space.size, dtype=np.int64)
-    for j in reversed(range(b_pts.size)):
-        shifted = space.add_points(base, int(b_pts[j]))
-        codes = codes * r + (phi.values[shifted] - 1)
-    tilde_phi = Coloring(tilde_space, n_colors, codes + 1)
+    # quotient coloring: little-endian base-r digits over the B-coset colors, row j at offset b_pts[j]
+    colors = phi.values[space.coset_points(b_pts, comp)] - 1
+    tilde_phi = Coloring(tilde_space, n_colors, r ** np.arange(b_size) @ colors + 1)
 
     # digit[c, j] is the phi-color (minus 1) at offset b_pts[j] that encoded color c + 1 records
     encoded = np.arange(n_colors)
@@ -444,7 +439,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
         space=space,
         b_subspace=b_sub,
         b_points=b_pts,
-        tilde_basis=tilde_basis,
+        tilde_basis=comp.basis,
         tilde_space=tilde_space,
         coloring=tilde_phi,
         pairs=tuple(pairs),

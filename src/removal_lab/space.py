@@ -64,14 +64,6 @@ def _json_header(fh, keys: tuple[str, ...], what: str) -> dict[str, int]:
     return {key: json_int(header[key], f"{what} header {key!r}") for key in keys}
 
 
-def _digit_table(p: int, n: int) -> np.ndarray:
-    idx = np.arange(p**n, dtype=np.int64)
-    out = np.empty((p**n, n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = (idx // p**i) % p
-    return out
-
-
 class Space:
     """The ambient space F_p^n with cached encode/decode tables."""
 
@@ -107,7 +99,8 @@ class Space:
     @cached_property
     def digits(self) -> np.ndarray:
         """(size, n) table: row i holds the coordinates of point i."""
-        d = _digit_table(self.p, self.n)
+        d = np.arange(self.size, dtype=np.int64)[:, None] // self.powers
+        d %= self.p
         d.setflags(write=False)
         return d
 
@@ -137,48 +130,60 @@ class Space:
         return Subspace.zero(self.p, self.n)
 
     def subspace_points(self, sub: Subspace, *, t_order: bool = False) -> np.ndarray:
-        """Indices of the points of sub.
-
-        Default order is ascending index.  With t_order=True the order is the
-        little-endian enumeration of coefficient tuples against the canonical
-        basis; this is the order coset restrictions use.
-        """
-        self._check_sub(sub)
-        if sub.dim == 0:
-            return np.zeros(1, dtype=np.int64)
-        grid = _digit_table(self.p, sub.dim)
-        pts = self.encode(grid @ sub.basis)
+        """Indices of the points of sub: ascending, or with t_order=True in t-order (see coset_points)."""
+        pts = self.coset_points(0, sub)
         return pts if t_order else np.sort(pts)
 
-    def coset_points(self, rep: int, sub: Subspace) -> np.ndarray:
-        """Points of rep + sub, in t-order of the canonical basis."""
-        self._check_sub(sub)
-        if sub.dim == 0:
-            return np.array([rep], dtype=np.int64)
-        grid = _digit_table(self.p, sub.dim)
-        return self.encode(grid @ sub.basis % self.p + self.decode(rep))
+    def coset_points(self, rep, sub: Subspace) -> np.ndarray:
+        """Points of rep + sub, one row per rep for an array of reps.
 
-    def coset_ids(self, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, reps): ids[x] identifies the coset x + sub, reps[id] is one point.
-
-        Ids are the little-endian codes of the annihilator functionals, so they
-        range over [0, p^codim) and are stable across calls.
+        The order is t-order: the little-endian enumeration of coefficient
+        tuples t against the canonical basis, the order coset restrictions use.
         """
         self._check_sub(sub)
-        y = sub.annihilator_matrix()
-        c = y.shape[0]
-        pows = self.p ** np.arange(c, dtype=np.int64)
-        ids = (self.digits @ y.T % self.p) @ pows
-        reps = np.full(self.p**c, -1, dtype=np.int64)
-        # the points zero at every pivot of sub: the deterministic complement
-        comp_pts = np.flatnonzero(~self.digits[:, sub.pivots()].any(axis=1))
-        reps[ids[comp_pts]] = comp_pts
-        assert (reps >= 0).all()
-        return ids, reps
+        reps = np.asarray(rep, dtype=np.int64)
+        # rep // p^c is rep's coordinate c mod p, so one mod per coordinate suffices
+        shifts = reps.reshape(-1, *(1,) * sub.dim, 1) // self.powers
+        pts = np.zeros((reps.size,) + (self.p,) * sub.dim, dtype=np.int64)
+        for c, column in enumerate(sub.basis.T):
+            pts += (shifts[..., c] + _linear_form(self.p, column)) % self.p * self.p**c
+        return pts.reshape(*reps.shape, -1)
+
+    def transversal(self, sub: Subspace) -> np.ndarray:
+        """The points zero at every pivot of sub, ascending; entry i is the point of coset id i."""
+        self._check_sub(sub)
+        reps = np.zeros(1, dtype=np.int64)
+        for w in self.powers[sub.free_columns()]:
+            reps = (np.arange(self.p, dtype=np.int64)[:, None] * w + reps).reshape(-1)
+        return reps
+
+    def coset_ids(self, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, reps): ids[x] identifies the coset x + sub, reps = transversal(sub).
+
+        With P the pivot and F the free columns of the RREF basis B, the point
+        of x + sub that is zero at every pivot has free coordinates
+        (x[F] - x[P] B[:, F]) mod p; ids[x] is their little-endian code, so ids
+        range over [0, p^codim), are stable across calls, and ids[reps[i]] = i.
+        """
+        self._check_sub(sub)
+        free = sub.free_columns()
+        # column j is the form x -> x[F_j] - x[P] B[:, F_j]
+        forms = np.eye(self.n, dtype=np.int64)[:, free]
+        forms[sub.pivots()] -= sub.basis[:, free]
+        ids = np.zeros((self.p,) * self.n, dtype=np.int64)
+        for j, form in enumerate(forms.T):
+            ids += _linear_form(self.p, form) * self.p**j
+        return ids.reshape(-1), self.transversal(sub)
 
     def _check_sub(self, sub: Subspace):
         if (sub.p, sub.n) != (self.p, self.n):
             raise ValueError(f"subspace of F_{sub.p}^{sub.n} used in {self!r}")
+
+
+def _linear_form(p: int, coeffs):
+    """(sum_k coeffs[k] t_k) mod p over t in F_p^K, little-endian: t_0 on the last axis."""
+    steps = np.arange(p, dtype=np.int64)
+    return sum((steps * int(a)).reshape(-1, *(1,) * k) for k, a in enumerate(coeffs) if a) % p
 
 
 def coset_restrict(values: np.ndarray, space: Space, rep: int, sub: Subspace) -> tuple[np.ndarray, Space]:

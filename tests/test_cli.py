@@ -228,6 +228,35 @@ def test_cap_flag_exits_two_with_evidence(workdir, capsys, monkeypatch):
     assert evidence["cap"] == 100
 
 
+def test_cap_flag_holds_for_one_call_only(workdir, capsys, monkeypatch):
+    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+    before = dict(os.environ)
+    fourier = ("fourier", "--coloring", str(workdir / "phi.json"), "--color", "1")
+    code, out, _ = run_cli(capsys, "--cap", "10", *fourier)
+    assert code == 2 and json.loads(out)["cap"] == 10
+    code, out, _ = run_cli(capsys, *fourier)
+    assert code == 0 and json.loads(out)["command"] == "fourier"
+    assert dict(os.environ) == before
+    # a value the caller set comes back too
+    monkeypatch.setenv(CAP_ENV_VAR, "5000")
+    assert run_cli(capsys, "--cap", "10", *fourier)[0] == 2
+    assert os.environ[CAP_ENV_VAR] == "5000"
+
+
+def test_solution_count_too_long_to_print_is_a_cap_report(workdir, capsys):
+    # 1024^1499 solutions: more than 4300 digits, so requested is the power
+    write_pattern(workdir / "wide.json", Pattern(2, 2, [[1] * 1500], (1,) * 1500))
+    sp = Space(2, 10)
+    write_coloring(workdir / "c10.json", Coloring(sp, 2, np.ones(sp.size, dtype=np.int64)))
+    code, out, _ = run_cli(
+        capsys, "stats", "--pattern", str(workdir / "wide.json"), "--coloring", str(workdir / "c10.json")
+    )
+    assert code == 2
+    evidence = json.loads(out)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == "1024^1499"
+
+
 def test_reduce_quotient_coloring(workdir, capsys):
     sp = Space(2, 3)
     rng = np.random.default_rng(9)

@@ -44,6 +44,8 @@ RUNS = {
         0,
         ["recolor", "--coloring", "canon2.json", "--eps", "0.5", "--eps-reg", "0.3", "--seed", "1"],
     ),
+    # two Green rounds, the second over the 3 cosets of a hyperplane
+    "regularize": (0, ["regularize", "--coloring", "rand3.json", "--eps", "0.1"]),
     "remove_case_b": (
         0,
         ["remove", "--family", "mono5.json", "--coloring", "canon5.json", "--eps", "1", "--eps-rado", "0.01"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from removal_lab.energy import Partition, project_energy
 from removal_lab.errors import SpaceExhaustedError
 from removal_lab.fields import Subspace
 from removal_lab.fourier import batch_coset_norms
@@ -58,7 +59,7 @@ def test_green_resolves_hyperplane_structure():
     rep = green_regularize([f], sp, Subspace.full(2, 6), 0.05)
     assert rep.verified
     assert rep.v1.leq(h)
-    reps, _ = sp.coset_ids(rep.v1)
+    _, reps = sp.coset_ids(rep.v1)
     norms, _ = batch_coset_norms(f, sp, rep.v1, reps)
     assert norms.max() <= TOL
 
@@ -90,6 +91,22 @@ def test_strong_regularize_reaches_stable_pair():
     assert rep.final_gap <= delta + TOL
     assert all(frac <= rep.eps_final + TOL for frac in rep.bad_fractions)
     assert rep.stages[0].codim <= rep.stages[-1].codim
+
+
+def test_strong_stage_energies_are_the_measured_coset_energies():
+    # (2, 6): the last pass makes rounds; (3, 4): it makes none and keeps the energy
+    for p, n, seed, last_codims in [(2, 6, 2, (4, 6)), (3, 4, 0, (4, 4))]:
+        sp = Space(p, n)
+        d = sp.digits
+        rng = np.random.default_rng(seed)
+        base = ((d[:, 0] == 0) & (d[:, 1] == 0)) | (d[:, 2] == 1)
+        fs = [(base ^ (rng.random(sp.size) < 0.1)).astype(float), (d[:, n - 1] == 0).astype(float)]
+        rep = strong_regularize(fs, sp, Subspace.full(p, n), 0.05, lambda c: min(0.3, p ** (-c) / 4))
+        assert len(rep.stages) >= 3
+        assert (rep.v1.codim, rep.v2.codim) == last_codims
+        for stage, v in zip(rep.stages[-2:], (rep.v1, rep.v2)):
+            assert stage.codim == v.codim
+            assert stage.energy == project_energy(Partition.from_cosets(sp, v), fs)[1]
 
 
 # --- regular models ---------------------------------------------------------------

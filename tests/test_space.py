@@ -100,6 +100,27 @@ class TestSubspacePoints:
             assert np.array_equal(np.sort(reps), sp.subspace_points(s.complement()))
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
+def test_coset_ids_match_the_membership_oracle(p, n):
+    sp = Space(p, n)
+    rng = np.random.default_rng(p * 10 + n)
+    subs = [Subspace.zero(p, n), Subspace.full(p, n)]
+    subs += [Subspace.from_rows(p, n, rng.integers(0, p, (k, n))) for k in range(1, n) for _ in range(3)]
+    coords = sp.digits
+    for sub in subs:
+        ids, reps = sp.coset_ids(sub)
+        # x and y share a coset exactly when x - y lies in sub
+        member = np.array([sub.contains(d) for d in coords])
+        diff = sp.encode(coords[:, None, :] - coords[None, :, :])
+        assert np.array_equal(ids[:, None] == ids[None, :], member[diff])
+        assert np.array_equal(np.unique(ids), np.arange(p**sub.codim))
+        assert (np.diff(reps) > 0).all()
+        assert not coords[reps][:, sub.pivots()].any()
+        assert np.array_equal(ids[reps], np.arange(reps.size))
+        rows = sp.coset_points(reps, sub)
+        assert np.array_equal(rows, np.stack([sp.coset_points(int(x), sub) for x in reps]))
+
+
 def test_coset_restrict_values():
     sp = Space(3, 3)
     sub = Subspace.from_rows(3, 3, [[0, 1, 0]])
