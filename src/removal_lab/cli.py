@@ -216,6 +216,8 @@ def _run(args) -> int:
             raise ValueError("need exactly one of --coloring / --table")
         if args.coloring:
             coloring = read_coloring(args.coloring)
+            if not 1 <= args.color <= coloring.r:
+                raise ValueError(f"--color must lie in 1..{coloring.r}")
             space = coloring.space
             values = coloring.indicator(args.color)
         else:

@@ -24,8 +24,7 @@ class Partition:
     """A partition of a carrier set of points, as dense part labels.
 
     labels has one entry per point of the space; points outside the carrier
-    hold -1.  Labels are normalized to 0..num_parts-1 in order of first
-    appearance (point order), so equal partitions have equal labels.
+    hold -1.  Labels are renumbered to 0..num_parts-1, keeping their order.
     """
 
     space: Space
@@ -41,21 +40,10 @@ class Partition:
             raise ValueError("partition carrier is empty")
         dense = np.full(self.space.size, -1, dtype=np.int64)
         uniq, inv = np.unique(lab[carrier], return_inverse=True)
-        # renumber by first appearance so labelings are canonical
-        first = np.full(uniq.size, self.space.size, dtype=np.int64)
-        pos = np.nonzero(carrier)[0]
-        np.minimum.at(first, inv, pos)
-        order = np.argsort(first, kind="stable")
-        remap = np.empty(uniq.size, dtype=np.int64)
-        remap[order] = np.arange(uniq.size)
-        dense[carrier] = remap[inv]
+        dense[carrier] = inv
         dense.setflags(write=False)
         object.__setattr__(self, "labels", dense)
         object.__setattr__(self, "num_parts", int(uniq.size))
-
-    @property
-    def carrier(self) -> np.ndarray:
-        return np.nonzero(self.labels >= 0)[0]
 
     @classmethod
     def from_cosets(cls, space: Space, sub: Subspace, carrier: np.ndarray | None = None) -> "Partition":
@@ -66,25 +54,6 @@ class Partition:
             mask[np.asarray(carrier, dtype=np.int64)] = True
             labels = np.where(mask, labels, -1)
         return cls(space, labels)
-
-    def refines(self, other: "Partition") -> bool:
-        """True when self and other share a carrier and self is finer."""
-        if self.space != other.space:
-            return False
-        mine, theirs = self.labels, other.labels
-        if ((mine >= 0) != (theirs >= 0)).any():
-            return False
-        c = self.carrier
-        pairs = np.unique(mine[c] * (other.num_parts + 1) + theirs[c])
-        return pairs.size == self.num_parts
-
-    def common_refinement(self, other: "Partition") -> "Partition":
-        if self.space != other.space:
-            raise ValueError("space mismatch")
-        if ((self.labels >= 0) != (other.labels >= 0)).any():
-            raise ValueError("carrier mismatch")
-        lab = np.where(self.labels >= 0, self.labels * (other.num_parts + 1) + other.labels, -1)
-        return Partition(self.space, lab)
 
 
 def project(partition: Partition, values: np.ndarray) -> np.ndarray:

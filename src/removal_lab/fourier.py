@@ -48,16 +48,6 @@ def regularity_norm(values: np.ndarray, space: Space) -> tuple[float, int | None
     return float(mags[z]), z
 
 
-def is_regular(values: np.ndarray, space: Space, eps: float, *, slack: float = FLOAT_TOL) -> bool:
-    """Verifier-side check: every nontrivial coefficient is <= eps (+ slack).
-
-    Algorithms deciding whether to *refine* use the conservative complement
-    (norm > eps - FLOAT_TOL) so borderline cosets get refined rather than
-    certified; this asymmetry keeps both sides of the tolerance honest.
-    """
-    return regularity_norm(values, space)[0] <= eps + slack
-
-
 def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.ndarray]:
     """Regularity norms of f restricted to the cosets rep + sub, all reps at once.
 

@@ -8,13 +8,15 @@ structure itself, and verifiers re-derive every claim from the published
 subspaces alone.
 
 Decision thresholds are strict (a coset is refined iff its norm exceeds eps),
-verifier thresholds allow FLOAT_TOL of slack; see fourier.is_regular.
+verifier thresholds allow FLOAT_TOL of slack.  The asymmetry keeps both sides
+of the tolerance honest: a borderline coset gets refined rather than
+certified, and float dust alone never fails a verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -190,26 +192,6 @@ class StrongReport:
     eps_final: float
     verified: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "codim_v1": self.v1.codim,
-            "codim_v2": self.v2.codim,
-            "delta": self.delta,
-            "stages": [
-                {
-                    "index": s.index,
-                    "eps": None if math.isnan(s.eps_used) else s.eps_used,
-                    "codim": s.codim,
-                    "energy": s.energy,
-                }
-                for s in self.stages
-            ],
-            "final_energy_gap": self.final_gap,
-            "bad_fractions": list(self.bad_fractions),
-            "eps_final": self.eps_final,
-            "verified": self.verified,
-        }
-
 
 def strong_regularize(
     fs: Sequence[np.ndarray],
@@ -276,7 +258,6 @@ class RegularModel:
     seed: int
     attempts: int
     details: dict
-    inner: StrongReport | None = field(repr=False, default=None)
 
     def as_dict(self) -> dict:
         d = {
@@ -372,7 +353,7 @@ def regular_model(
         details = verify_model(fs, space, v1, v2, u, eps)
         stats.append({"attempt": attempt, **details})
         if details["ok"]:
-            return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details, inner)
+            return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details)
     raise RetryCapError("no random complement verified", attempts=max_attempts, stats=stats)
 
 

@@ -1,5 +1,5 @@
-"""The induced removal pipeline, its counting certificate, and the
-inhomogeneous-to-homogeneous reduction.
+"""The induced removal pipeline and the inhomogeneous-to-homogeneous
+reduction.
 
 induced_removal recolors a small fraction of points so the result has no
 all-nonzero instance of any pattern in the given family, or aborts with a
@@ -24,10 +24,8 @@ from .patterns import (
     complexity1_check,
     first_instance,
     iter_matches,
-    lam,
     pattern_stats,
     solutions,
-    subpattern,
     subpattern_closure,
 )
 from .ramsey import Dichotomy, canonical_coloring, decide_dichotomy
@@ -206,87 +204,6 @@ def induced_removal(
     )
 
 
-# --- counting certificate -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CountingCertificate:
-    lam_full: Fraction
-    lam_restricted: Fraction
-    restriction_factor: Fraction
-    lam_zero_part: Fraction
-    free_densities: tuple[Fraction, ...]
-    num_zero_coords: int
-
-    def as_dict(self) -> dict:
-        return {
-            "lam_full": str(self.lam_full),
-            "lam_restricted": str(self.lam_restricted),
-            "restriction_factor": str(self.restriction_factor),
-            "first_line_holds": True,
-            "lam_zero_part": str(self.lam_zero_part),
-            "free_densities": [str(d) for d in self.free_densities],
-            "num_zero_coords": self.num_zero_coords,
-        }
-
-
-def certify_counting(phi: Coloring, pattern: Pattern, u, v2: Subspace) -> CountingCertificate:
-    """Exact first step of the counting argument at an instance u.
-
-    u must solve the linear system with its zero coordinates listed first.
-    The asserted line is Lambda_A(f) >= p^(-m codim V_2) Lambda_A(g), with
-    f_i the color indicators on V and g_i their restrictions to u_i + V_2;
-    that inequality is pure inclusion and is checked in exact arithmetic.
-    The subsequent chain (splitting off the nonzero coordinates against the
-    subpattern of the zero block) is recorded for the report only — its error
-    terms carry the regularity constants, which are out of numeric range.
-    """
-    space = phi.space
-    u = np.asarray(u, dtype=np.int64)
-    if u.shape != (pattern.k,):
-        raise ValueError("u must have one point per pattern variable")
-    coords = space.decode(u)
-    if pattern.rows.shape[0] and np.any(pattern.rows @ coords % space.p):
-        raise ValueError("u does not solve the linear system")
-    zero = np.nonzero(u == 0)[0]
-    j = int(zero.size)
-    if not np.all(u[:j] == 0):
-        raise ValueError("zero coordinates of u must come first")
-
-    fs = [phi.indicator(c) for c in pattern.psi]
-    lam_full = lam(pattern.rows, fs, space)
-    assert lam_full.exact is not None
-    sub_space = Space(space.p, v2.dim)
-    gs = []
-    for i in range(pattern.k):
-        vals = phi.restrict(int(u[i]), v2).indicator(pattern.psi[i])
-        gs.append(vals)
-    lam_res = lam(pattern.rows, gs, sub_space)
-    assert lam_res.exact is not None
-    m = pattern.num_free
-    factor = Fraction(1, space.p ** (m * v2.codim))
-    assert lam_full.exact >= factor * lam_res.exact, (
-        "restriction inequality failed: full count below the coset's contribution"
-    )
-
-    if j:
-        zero_sub = subpattern(pattern, range(1, j + 1))
-        lam_zero = lam(zero_sub.rows, gs[:j], sub_space)
-        assert lam_zero.exact is not None
-        lam_zero = lam_zero.exact
-    else:
-        lam_zero = Fraction(1)
-    free = tuple(Fraction(int(gs[i].sum()), sub_space.size) for i in range(j, pattern.k))
-    return CountingCertificate(
-        lam_full=lam_full.exact,
-        lam_restricted=lam_res.exact,
-        restriction_factor=factor,
-        lam_zero_part=lam_zero,
-        free_densities=free,
-        num_zero_coords=j,
-    )
-
-
 # --- inhomogeneous reduction ----------------------------------------------------
 
 
@@ -307,30 +224,11 @@ class InhomReduction:
     pairs: tuple[tuple[Pattern, tuple[int, ...]], ...]
     expansions: tuple[tuple[ExpandedPattern, ...], ...]
 
-    def encode_color(self, colors) -> int:
-        """Tuple of per-offset colors (t-order over B) -> one color in 1..r^|B|."""
-        r = self.pairs[0][0].r if self.pairs else 1
-        out = 0
-        for j, c in enumerate(reversed(list(colors))):
-            out = out * r + (int(c) - 1)
-        return out + 1
-
     def lift_point(self, tilde_x: int, u: int) -> int:
         """A point of the quotient space plus an offset in B -> a point of V."""
         coords = self.tilde_space.decode(np.array([tilde_x]))[0] @ self.tilde_basis % self.space.p
         lifted = (coords + self.space.decode(np.array([u]))[0]) % self.space.p
         return int(self.space.encode(lifted[None, :])[0])
-
-    def project_point(self, x: int) -> tuple[int, int]:
-        """Inverse of lift_point: a point of V -> (quotient point, offset in B)."""
-        coords = self.space.decode(np.array([x]))[0]
-        stacked = np.vstack([self.tilde_basis, self.b_subspace.basis])
-        t = solve(stacked.T, coords, self.space.p)
-        assert t is not None, "tilde basis and B must span V"
-        d = self.tilde_basis.shape[0]
-        tilde_x = int(self.tilde_space.encode(t[None, :d])[0])
-        u = int(self.space.encode((t[d:] @ self.b_subspace.basis % self.space.p)[None, :])[0])
-        return tilde_x, u
 
     def instance_map(self, pair_index: int, expansion_index: int, tilde_instance) -> np.ndarray:
         """An instance of one expanded pattern -> the ambient instance it encodes."""

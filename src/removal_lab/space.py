@@ -118,16 +118,10 @@ class Space:
     def add_points(self, a, b) -> np.ndarray:
         return self.encode(self.decode(a) + self.decode(b))
 
-    def neg_points(self, a) -> np.ndarray:
-        return self.encode(-self.decode(a))
-
     def scale_points(self, c: int, a) -> np.ndarray:
         return self.encode(c * self.decode(a))
 
     # --- subspaces and cosets ------------------------------------------
-
-    def zero_subspace(self) -> Subspace:
-        return Subspace.zero(self.p, self.n)
 
     def subspace_points(self, sub: Subspace, *, t_order: bool = False) -> np.ndarray:
         """Indices of the points of sub: ascending, or with t_order=True in t-order (see coset_points)."""
@@ -250,10 +244,19 @@ def read_coloring(path) -> Coloring:
     with open(path) as fh:
         header = _json_header(fh, ("p", "n", "r"), "coloring")
         space = Space(header["p"], header["n"])
+        r, cap = header["r"], point_cap()
+        # every consumer builds one table per color, so r is bounded like |V|
+        if r > cap:
+            raise ValueError(f"coloring header r = {r} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
         vals = [int(line) for line in fh if line.strip()]
     if len(vals) != space.size:
         raise ValueError(f"expected {space.size} colors, found {len(vals)}")
-    return Coloring(space, header["r"], np.array(vals, dtype=np.int64))
+    try:
+        values = np.array(vals, dtype=np.int64)
+    except OverflowError:
+        # past int64 is past the capped r too
+        raise ValueError("colors must lie in 1..r") from None
+    return Coloring(space, r, values)
 
 
 def write_table(path, space: Space, values: np.ndarray):
@@ -270,7 +273,9 @@ def read_table(path) -> tuple[np.ndarray, Space]:
     with open(path) as fh:
         header = _json_header(fh, ("p", "n"), "table")
         space = Space(header["p"], header["n"])
-        vals = [float(line) for line in fh if line.strip()]
-    if len(vals) != space.size:
-        raise ValueError(f"expected {space.size} values, found {len(vals)}")
-    return np.array(vals, dtype=np.float64), space
+        vals = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+    if vals.size != space.size:
+        raise ValueError(f"expected {space.size} values, found {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ValueError("table values must be finite")
+    return vals, space

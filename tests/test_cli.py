@@ -351,10 +351,16 @@ def test_console_entry_point_runs():
         (["stats", "--pattern", "h.json", "--coloring"], "c.json", "5\n1\n"),
         (["fourier", "--table"], "t.json", '{"p": 2, "n": null}\n0.5\n'),
         (["stats", "--coloring", "phi.json", "--pattern"], "h6.json", '{"p": 2, "r": 2, "rows": [[1, 1, 1, 1, 1, 1]], "psi": [1, 1, 1]}\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n' + "9" * 30 + "\n1\n"),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1 2\n2\n'),
+        (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\nnan\n0.5\n'),
+        (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n0.5\n1e999\n'),
+        (["fourier", "--color", "3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1\n2\n'),
     ],
     ids=[
         "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
-        "rows-wider-than-psi",
+        "rows-wider-than-psi", "color-past-int64", "two-colors-on-a-line", "nan-in-table", "inf-in-table",
+        "color-outside-1-to-r",
     ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):
@@ -393,6 +399,13 @@ def test_huge_prime_refused_before_trial_division(workdir):
     evidence = json.loads(out.stdout)
     assert evidence["error"] == "ResourceCapError"
     assert evidence["requested"] == p
+
+
+def test_huge_color_count_refused_before_tables(workdir):
+    (workdir / "manyr.json").write_text(json.dumps({"n": 3, "p": 2, "r": 10**30}) + "\n" + "1\n" * 8)
+    out = _run_subprocess(workdir, "regularize", "--coloring", "manyr.json", "--eps", "0.3")
+    assert out.returncode == 1
+    assert out.stdout == "" and out.stderr.startswith("error:") and "point cap" in out.stderr
 
 
 @pytest.mark.parametrize(

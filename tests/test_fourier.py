@@ -3,7 +3,6 @@ import pytest
 
 from removal_lab.fourier import (
     batch_coset_norms,
-    is_regular,
     lambda_fourier,
     regularity_norm,
     transform,
@@ -67,9 +66,6 @@ def test_character_real_part_has_norm_half():
     norm, wit = regularity_norm(f, sp)
     assert abs(norm - 0.5) <= TOL
     assert wit in (z0, sp.encode(-sp.digits[z0] % 3))
-    assert is_regular(f, sp, 0.5)
-    assert is_regular(f, sp, 0.5 - 1e-12)  # slack absorbs float dust
-    assert not is_regular(f, sp, 0.4)
 
 
 def test_regularity_norm_dimension_zero():
@@ -96,7 +92,7 @@ def test_batch_coset_norms_matches_restrictions():
 
 def test_batch_coset_norms_zero_dimensional_subspace():
     sp = Space(2, 3)
-    sub = sp.zero_subspace()
+    sub = Subspace.zero(2, 3)
     norms, wits = batch_coset_norms(np.ones(sp.size), sp, sub, np.arange(sp.size))
     assert not norms.any()
     assert (wits == -1).all()

@@ -75,7 +75,7 @@ def test_green_eps_one_needs_no_rounds():
 def test_green_zero_start_is_vacuous():
     sp = Space(2, 3)
     rng = np.random.default_rng(12)
-    rep = green_regularize(random_tables(rng, sp, 1), sp, sp.zero_subspace(), 0.01)
+    rep = green_regularize(random_tables(rng, sp, 1), sp, Subspace.zero(2, 3), 0.01)
     assert rep.verified and len(rep.rounds) == 0 and rep.v1.dim == 0
 
 

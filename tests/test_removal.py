@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from removal_lab.fields import Subspace
 from removal_lab.patterns import Pattern, first_instance, pattern_stats
 from removal_lab.ramsey import canonical_coloring
 from removal_lab.removal import (
-    certify_counting,
     count_inhomogeneous,
     induced_removal,
     inhomogeneous_reduce,
@@ -111,65 +108,6 @@ def test_removal_complexity_gate_names_the_override():
         induced_removal(phi, [ap4], 0.5)
 
 
-# --- counting certificate -----------------------------------------------------------
-
-
-def _counting_setup():
-    sp = Space(2, 4)
-    rng = np.random.default_rng(17)
-    phi = Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64))
-    h = Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))
-    v2 = Subspace.from_rows(2, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    return sp, phi, h, v2
-
-
-def test_certify_counting_exact_values():
-    sp, phi, h, v2 = _counting_setup()
-    y = int(sp.encode(np.array([[0, 0, 1, 1]]))[0])
-    cert = certify_counting(phi, h, (0, y, y), v2)
-    assert cert.num_zero_coords == 1
-    assert cert.restriction_factor == Fraction(1, 2 ** (2 * v2.codim))
-    stats = pattern_stats(h, phi)
-    assert cert.lam_full == stats.density
-    # first chain line in exact arithmetic
-    assert cert.lam_full >= cert.restriction_factor * cert.lam_restricted
-    # the zero block is a single unconstrained variable here
-    g0 = phi.restrict(0, v2).indicator(1)
-    assert cert.lam_zero_part == Fraction(int(g0.sum()), 4)
-    assert len(cert.free_densities) == 2
-    d = cert.as_dict()
-    assert d["first_line_holds"] is True
-
-
-def test_certify_counting_all_nonzero_instance():
-    sp, phi, h, v2 = _counting_setup()
-    pts = sp.subspace_points(v2)
-    y = None
-    for a in pts[1:]:
-        for b in pts[1:]:
-            c = int(sp.add_points(np.array([a]), int(b))[0])
-            if c != 0:
-                y = (int(a), int(b), c)
-                break
-        if y:
-            break
-    cert = certify_counting(phi, h, y, v2)
-    assert cert.num_zero_coords == 0
-    assert cert.lam_zero_part == Fraction(1)
-    assert len(cert.free_densities) == 3
-
-
-def test_certify_counting_validates_u():
-    sp, phi, h, v2 = _counting_setup()
-    with pytest.raises(ValueError):
-        certify_counting(phi, h, (0, 0), v2)
-    with pytest.raises(ValueError):
-        certify_counting(phi, h, (0, 1, 3), v2)  # 1 + 3 != 0 in F_2^4
-    y = int(sp.encode(np.array([[0, 0, 1, 1]]))[0])
-    with pytest.raises(ValueError):
-        certify_counting(phi, h, (y, 0, y), v2)  # zeros must come first
-
-
 # --- inhomogeneous reduction ----------------------------------------------------------
 
 
@@ -248,10 +186,8 @@ def test_inhom_project_lift_roundtrip():
     h = Pattern(3, 2, [[1, 1, 1]], (1, 1, 1))
     b = int(sp.encode(np.array([[1, 1, 0]]))[0])
     red = inhomogeneous_reduce(phi, [(h, (b,))])
-    for x in range(sp.size):
-        t, u = red.project_point(x)
-        assert red.lift_point(t, u) == x
-        assert u in set(int(v) for v in red.b_points)
+    lifted = [red.lift_point(t, int(u)) for t in range(red.tilde_space.size) for u in red.b_points]
+    assert sorted(lifted) == list(range(sp.size))
 
 
 def test_inhom_quotient_colors_encode_coset_colors():
@@ -263,7 +199,8 @@ def test_inhom_quotient_colors_encode_coset_colors():
     red = inhomogeneous_reduce(phi, [(h, (b,))])
     for t in range(red.tilde_space.size):
         colors = [int(phi.values[red.lift_point(t, int(u))]) for u in red.b_points]
-        assert int(red.coloring.values[t]) == red.encode_color(colors)
+        # little-endian base-r digits, the color at b_points[j] in digit j
+        assert int(red.coloring.values[t]) == 1 + sum((c - 1) * 3**j for j, c in enumerate(colors))
 
 
 def test_inhom_color_cap():

@@ -49,7 +49,6 @@ def test_group_ops_match_coordinates():
     assert np.array_equal(
         sp.decode(sp.add_points(a, b)), (sp.decode(a) + sp.decode(np.array([b]))) % 5
     )
-    assert np.array_equal(sp.decode(sp.neg_points(a)), (-sp.decode(a)) % 5)
     assert np.array_equal(sp.decode(sp.scale_points(3, a)), (3 * sp.decode(a)) % 5)
 
 
