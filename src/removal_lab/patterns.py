@@ -1,15 +1,14 @@
 """Colored linear patterns and exact instance counting.
 
-A pattern is a pair (A, psi): an l x k coefficient matrix over F_p together
-with a color requirement psi(i) for each of the k variables.  Solution tuples
-x in V^k of A x = 0 are enumerated through the null-space parametrization
-x = sum_j t_j N_j with t in V^m, m = k - rank A, which hits every solution
-exactly once.
+A pattern is a pair (A, psi): an l x k coefficient matrix over F_p and a color
+psi(i) for each of the k variables.  The solutions x in V^k of A x = 0 are
+enumerated once each as x = sum_j t_j N_j, t in V^m, m = k - rank A, by the
+coset-points kernel Space.image_points, in chunks of at most 2^17 tuples.
 
-iter_matches is the one enumerate-and-match loop: every exact count and
-instance search (lam on indicators, pattern_stats, first_instance, and
-removal.count_inhomogeneous) filters the enumeration through boolean tables,
-one per variable, and reads its answer off the matched tuples.
+iter_matches is the one enumerate-and-match loop: every instance count and
+search (pattern_stats, first_instance, removal.count_inhomogeneous) filters
+the enumeration through boolean tables, one per variable, and reads its
+answer off the matched tuples; lam sums table products over the same chunks.
 """
 
 from __future__ import annotations
@@ -137,12 +136,15 @@ def solution_count(rows, space: Space) -> int:
     return space.size ** (m.shape[1] - rank(m, space.p))
 
 
-def iter_solution_chunks(rows, space: Space, *, chunk: int = 1 << 17, cap: int | None = None) -> Iterator[np.ndarray]:
+def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Iterator[np.ndarray]:
     """Yield (batch, k) arrays of point indices covering every solution once.
 
     Order is little-endian over the parameter tuple (t_1, ..., t_m), t_1 least
     significant; within a pattern this order is what "first instance" means
     everywhere in this package.
+
+    x_i is the image of t in F_p^(mn) under kron(N[:, i], I_n).  A chunk runs over
+    the low a digits, p^a <= 2^17 < p^(a+1), for max(1, 2^17 // p^a) settings of the rest.
     """
     a = as_fp_matrix(rows, space.p)
     basis = null_space(a, space.p)
@@ -157,19 +159,13 @@ def iter_solution_chunks(rows, space: Space, *, chunk: int = 1 << 17, cap: int |
             requested=requested,
             cap=limit,
         )
-    digits = space.digits
-    for start in range(0, total, chunk):
-        u = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        xs = np.empty((u.size, k), dtype=np.int64)
-        tparts = [(u // space.size**j) % space.size for j in range(m)]
-        for i in range(k):
-            acc = np.zeros((u.size, space.n), dtype=np.int64)
-            for j in range(m):
-                c = int(basis[j, i])
-                if c:
-                    acc += c * digits[tparts[j]]
-            xs[:, i] = space.encode(acc)
-        yield xs
+    low = next(d for d in range(18) if space.p ** (d + 1) > 1 << 17)
+    block = max(1, (1 << 17) // space.p**low)
+    images = [np.kron(basis[:, [i]], np.eye(space.n, dtype=np.int64)) for i in range(k)]
+    reps = [space.image_points(0, mi[low:]) for mi in images]
+    for start in range(0, reps[0].size, block):
+        cols = [space.image_points(r[start : start + block], mi[:low]).reshape(-1) for r, mi in zip(reps, images)]
+        yield np.stack(cols, axis=1)
 
 
 def solutions(rows, space: Space, *, cap: int | None = None) -> np.ndarray:
@@ -214,10 +210,6 @@ class LambdaValue:
         return self.value
 
 
-def _is_indicator(arr: np.ndarray) -> bool:
-    return bool(np.isin(arr, (0.0, 1.0)).all())
-
-
 def lam(rows, fs: Sequence[np.ndarray], space: Space) -> LambdaValue:
     """Lambda_A(f_1, ..., f_k) = E_{x: Ax=0} prod_i f_i(x_i).
 
@@ -229,21 +221,18 @@ def lam(rows, fs: Sequence[np.ndarray], space: Space) -> LambdaValue:
     if len(fs) != k:
         raise ValueError(f"need {k} functions, got {len(fs)}")
     fs = [np.asarray(f, dtype=np.float64) for f in fs]
-    for f in fs:
-        if f.shape != (space.size,):
-            raise ValueError("function table has wrong length")
+    if any(f.shape != (space.size,) for f in fs):
+        raise ValueError("function table has wrong length")
     total = solution_count(a, space)
-    if all(_is_indicator(f) for f in fs):
-        count = sum(xs.shape[0] for xs in iter_matches(a, [f > 0.5 for f in fs], space))
-        exact = Fraction(count, total)
-        return LambdaValue(float(exact), exact)
     acc = 0.0
     for xs in iter_solution_chunks(a, space):
         prod = fs[0][xs[:, 0]].copy()
         for i in range(1, k):
             prod *= fs[i][xs[:, i]]
         acc += float(prod.sum())
-    return LambdaValue(acc / total, None)
+    # under the cap a sum of 0/1 products is exact, so acc / total is the rounded Fraction
+    exact = Fraction(int(acc), total) if np.isin(fs, (0.0, 1.0)).all() else None
+    return LambdaValue(acc / total, exact)
 
 
 # --- statistics against a coloring ------------------------------------------

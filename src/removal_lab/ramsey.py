@@ -21,8 +21,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import VerificationError
-from .patterns import Pattern, first_instance, pattern_stats
+from .errors import ResourceCapError, VerificationError
+from .patterns import ENUMERATION_CAP, Pattern, first_instance, pattern_stats
 from .space import Coloring, Space
 
 
@@ -106,6 +106,11 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
             raise ValueError("empty family needs explicit p and r")
         n = 1
     space = Space(p, max(n, 1))
+    # r^(p-1) colorings of |V| points; past 4096 bits of r^(p-1), r >= 2 is over the cap for sure
+    huge = r >= 2 and (p - 1) * r.bit_length() > 4096
+    work = f"{r}^{p - 1} * {space.size}" if huge else r ** (p - 1) * space.size
+    if huge or work > ENUMERATION_CAP:
+        raise ResourceCapError(f"the chi search needs {work} table entries", requested=work, cap=ENUMERATION_CAP)
     certificates: list[ChiCertificate] = []
     for chi in product(range(1, r + 1), repeat=p - 1):
         coloring = canonical_coloring(space, chi, r)

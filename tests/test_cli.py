@@ -401,6 +401,22 @@ def test_huge_prime_refused_before_trial_division(workdir):
     assert evidence["requested"] == p
 
 
+@pytest.mark.parametrize(
+    "r,requested",
+    [(1000, 1000**4 * 125), (10**30, 10**120 * 125), (2**5000, f"{2**5000}^4 * 125")],
+    ids=["chi-count", "chi-count-past-product-range", "chi-count-too-long-to-print"],
+)
+def test_huge_family_color_count_refused_before_chi_search(workdir, r, requested):
+    text = json.dumps([{"p": 5, "r": r, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}])
+    (workdir / "manyr.json").write_text(text + "\n")
+    out = _run_subprocess(workdir, "dichotomy", "--family", "manyr.json")
+    assert out.returncode == 2
+    evidence = json.loads(out.stdout)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == requested
+    assert evidence["cap"] == 10**8
+
+
 def test_huge_color_count_refused_before_tables(workdir):
     (workdir / "manyr.json").write_text(json.dumps({"n": 3, "p": 2, "r": 10**30}) + "\n" + "1\n" * 8)
     out = _run_subprocess(workdir, "regularize", "--coloring", "manyr.json", "--eps", "0.3")

@@ -90,21 +90,40 @@ def test_solutions_satisfy_system_and_are_distinct():
     assert len(keys) == sol.shape[0]
 
 
-def test_enumeration_order_is_little_endian_in_t():
-    sp = Space(3, 1)
-    a = np.array([[1, 1, 1]], dtype=np.int64)
-    basis = null_space(a, 3)
-    m = basis.shape[0]
-    # reconstruct independently: x_i = sum_j t_j * basis[j, i] acting on digits
-    rows = []
-    for t in range(sp.size**m):
-        x = np.zeros((3, sp.n), dtype=np.int64)
-        for j in range(m):
-            tj = (t // sp.size**j) % sp.size
-            x += np.outer(basis[j], sp.digits[tj])
-        rows.append(sp.encode(x % 3))
-    manual = np.array(rows)
-    assert np.array_equal(solutions(a, sp), manual)
+def _digit_arithmetic_solutions(rows, sp):
+    """Every solution in enumeration order by the gather-and-encode arithmetic, one coordinate at a time.
+
+    The tuple index is u = sum_j t_j |V|^j, so coordinate c of t_j is digit
+    j*n + c of u in base p, and coordinate c of x_i is sum_j t_j[c] N[j, i] mod p.
+    """
+    basis = null_space(rows, sp.p)
+    m, k = basis.shape
+    u = np.arange(sp.size**m, dtype=np.int64)
+    xs = np.zeros((u.size, k), dtype=np.int64)
+    for c in range(sp.n):
+        tc = u[:, None] // sp.p ** (np.arange(m, dtype=np.int64) * sp.n + c) % sp.p
+        xs += tc @ basis % sp.p * sp.p**c
+    return xs
+
+
+@pytest.mark.parametrize(
+    "p,n,rows",
+    [
+        (3, 1, [[1, 1, 1]]),
+        (2, 10, [[1, 1, 1]]),
+        (3, 6, [[1, 1, 2]]),
+        (5, 3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]),
+        (5, 2, [[1, 0], [0, 1]]),
+        (3, 0, [[1, 1, 1]]),
+        (131101, 1, [[1, 1]]),
+    ],
+    ids=["F3^1-x+y+z", "F2^10-x+y+z", "F3^6-x+y+2z", "F5^3-chain", "full-rank", "n0", "prime-above-2^17"],
+)
+def test_enumeration_order_is_little_endian_in_t(p, n, rows):
+    sp = Space(p, n)
+    chunks = list(iter_solution_chunks(rows, sp))
+    assert all(xs.shape[0] <= 1 << 17 for xs in chunks)
+    assert np.array_equal(np.concatenate(chunks), _digit_arithmetic_solutions(np.array(rows, dtype=np.int64), sp))
 
 
 def test_enumeration_cap_raises_with_evidence():
