@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ResourceCapError, UnsupportedCharacteristicError
 from .fields import annihilator, as_fp_matrix, check_prime, null_space, rank, rowspace_basis
-from .space import Space, check_capped_prime, json_int
+from .space import Space, capped_power, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
 
@@ -149,16 +149,10 @@ def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Itera
     a = as_fp_matrix(rows, space.p)
     basis = null_space(a, space.p)
     m, k = basis.shape
-    total = space.size**m
+    total = capped_power(space.size, m)
     limit = ENUMERATION_CAP if cap is None else cap
-    if total > limit:
-        # a report cannot print an integer of more than 4300 digits
-        requested = total if total.bit_length() <= 4096 else f"{space.size}^{m}"
-        raise ResourceCapError(
-            f"solution enumeration needs {requested} tuples, cap is {limit}",
-            requested=requested,
-            cap=limit,
-        )
+    if isinstance(total, str) or total > limit:
+        raise ResourceCapError(f"solution enumeration needs {total} tuples, cap is {limit}", requested=total, cap=limit)
     low = next(d for d in range(18) if space.p ** (d + 1) > 1 << 17)
     block = max(1, (1 << 17) // space.p**low)
     images = [np.kron(basis[:, [i]], np.eye(space.n, dtype=np.int64)) for i in range(k)]

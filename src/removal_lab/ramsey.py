@@ -17,13 +17,13 @@ returned Case-B witness is the first failing chi in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
 from .errors import ResourceCapError, VerificationError
-from .patterns import ENUMERATION_CAP, Pattern, first_instance, pattern_stats
-from .space import Coloring, Space
+from .patterns import ENUMERATION_CAP, Pattern, first_instance, pattern_stats, solution_count
+from .space import Coloring, Space, capped_power
 
 
 def canonical_coloring(space: Space, chi, r: int | None = None) -> Coloring:
@@ -91,7 +91,8 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     For an empty family p and r must be given explicitly and the outcome is
     Case B with the all-1s chi.  Certificates on both sides are re-verified:
     each Case-A instance directly, the Case-B coloring by exhaustive freeness
-    for every family member.
+    for every family member.  A chi costs |V| plus the solution count of each
+    member it tries; once the chi tried cost over ENUMERATION_CAP, ResourceCapError.
     """
     family = list(family)
     if family:
@@ -106,26 +107,28 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
             raise ValueError("empty family needs explicit p and r")
         n = 1
     space = Space(p, max(n, 1))
-    # r^(p-1) colorings of |V| points; past 4096 bits of r^(p-1), r >= 2 is over the cap for sure
-    huge = r >= 2 and (p - 1) * r.bit_length() > 4096
-    work = f"{r}^{p - 1} * {space.size}" if huge else r ** (p - 1) * space.size
-    if huge or work > ENUMERATION_CAP:
-        raise ResourceCapError(f"the chi search needs {work} table entries", requested=work, cap=ENUMERATION_CAP)
+    cost = list(accumulate((solution_count(h.rows, space) for h in family), initial=space.size))
+    work = capped_power(r, p - 1, cost[-1])
+    over = ResourceCapError(f"the chi search needs up to {work} entries", requested=work, cap=ENUMERATION_CAP)
+    if r > ENUMERATION_CAP:  # product lists range(1, r + 1) before its first chi
+        raise over
+    spent = 0
     certificates: list[ChiCertificate] = []
     for chi in product(range(1, r + 1), repeat=p - 1):
+        if spent > ENUMERATION_CAP:
+            raise over
         coloring = canonical_coloring(space, chi, r)
         hit = None
         for idx, h in enumerate(family):
             inst = first_instance(h, coloring)
             if inst is not None:
                 hit = ChiCertificate(chi, idx, tuple(int(x) for x in inst))
+                spent += cost[idx + 1]
                 break
         if hit is None:
             for h in family:
                 if not pattern_stats(h, coloring).is_free:
-                    raise VerificationError(
-                        "search claimed freeness but exhaustive recount disagrees", evidence=chi
-                    )
+                    raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
             return Dichotomy("B", p, r, space.n, (), chi, True)
         certificates.append(hit)
     for cert in certificates:

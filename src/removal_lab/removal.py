@@ -30,7 +30,7 @@ from .patterns import (
 )
 from .ramsey import Dichotomy, canonical_coloring, decide_dichotomy
 from .regularize import RecolorReport, regularity_recolor
-from .space import Coloring, Space
+from .space import Coloring, Space, capped_power
 
 # inhomogeneous_reduce builds one Python Pattern per expansion and an
 # (r^|B|, |B|) int64 digit table, so its default cap is sized for memory
@@ -300,11 +300,10 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
 
     limit = REDUCE_CAP if cap is None else cap
     b_size = int(b_pts.size)
-    n_colors = r**b_size
-    if n_colors * b_size > limit:
-        # a report cannot print an integer of more than 4300 digits
-        table = n_colors * b_size if n_colors.bit_length() <= 4096 else f"{r}^{b_size} * {b_size}"
+    table = capped_power(r, b_size, b_size)
+    if isinstance(table, str) or table > limit:
         raise ResourceCapError("encoded color table exceeds the cap", requested=table, cap=limit)
+    n_colors = r**b_size
     # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
     parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
     # |B|^(k - rank A) * r^(k(|B|-1)) expansions for a consistent offset system, none otherwise

@@ -32,6 +32,14 @@ def point_cap() -> int:
     return cap
 
 
+def capped_power(base: int, exp: int, factor: int = 1) -> int | str:
+    """base**exp * factor, or "base^exp * factor" once exp * bits(base) > 4096: a report cannot
+    print over 4300 digits, and base**exp > 2^2048 is past every cap, so a string is refused."""
+    if base < 2 or exp * int(base).bit_length() <= 4096:
+        return base**exp * factor
+    return f"{base}^{exp}" if factor == 1 else f"{base}^{exp} * {factor}"
+
+
 def check_capped_prime(p: int) -> int:
     """check_prime, after refusing a p above the point cap: trial division grows with p."""
     cap = point_cap()
@@ -72,10 +80,7 @@ class Space:
         if n < 0:
             raise ValueError("dimension must be >= 0")
         cap = point_cap()
-        # p**n is computed only while it fits in max(4096, 2 * bits of cap)
-        # bits; past that bound p >= 2 makes it exceed the cap for sure
-        exact = n * int(p).bit_length() <= max(4096, 2 * cap.bit_length())
-        size = p**n if exact else f"{p}^{n}"
+        size = capped_power(p, n)
         if isinstance(size, str) or size > cap:
             raise ResourceCapError(
                 f"|F_{p}^{n}| = {size} exceeds the point cap {cap} "

@@ -401,12 +401,13 @@ def test_huge_prime_refused_before_trial_division(workdir):
     assert evidence["requested"] == p
 
 
+# each chi of x+y+z on F_5^3 costs 125 table entries plus 125^2 solution tuples
 @pytest.mark.parametrize(
     "r,requested",
-    [(1000, 1000**4 * 125), (10**30, 10**120 * 125), (2**5000, f"{2**5000}^4 * 125")],
-    ids=["chi-count", "chi-count-past-product-range", "chi-count-too-long-to-print"],
+    [(1000, 1000**4 * 15750), (10**30, 10**120 * 15750), (2**5000, f"{2**5000}^4 * 15750")],
+    ids=["walk-over-budget", "r-past-product-range", "chi-count-too-long-to-print"],
 )
-def test_huge_family_color_count_refused_before_chi_search(workdir, r, requested):
+def test_huge_family_chi_walk_is_a_cap_report(workdir, r, requested):
     text = json.dumps([{"p": 5, "r": r, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}])
     (workdir / "manyr.json").write_text(text + "\n")
     out = _run_subprocess(workdir, "dichotomy", "--family", "manyr.json")
@@ -415,6 +416,16 @@ def test_huge_family_color_count_refused_before_chi_search(workdir, r, requested
     assert evidence["error"] == "ResourceCapError"
     assert evidence["requested"] == requested
     assert evidence["cap"] == 10**8
+
+
+def test_family_free_at_the_first_chi_is_case_b_whatever_r(workdir):
+    # the all-1s chi leaves color 2 empty, so 1000^4 chi are never walked
+    text = json.dumps([{"p": 5, "r": 1000, "rows": [[1, 1, 1]], "psi": [2, 2, 2]}])
+    (workdir / "free.json").write_text(text + "\n")
+    out = _run_subprocess(workdir, "dichotomy", "--family", "free.json")
+    assert out.returncode == 0
+    report = json.loads(out.stdout)
+    assert report["case"] == "B" and report["chi"] == [1, 1, 1, 1] and report["verified"]
 
 
 def test_huge_color_count_refused_before_tables(workdir):

@@ -126,6 +126,13 @@ def test_empty_family_is_case_b_all_ones():
         decide_dichotomy([])
 
 
+def test_empty_family_is_case_b_at_once_past_the_chi_budget():
+    # 2^28 chi of 29 points each are over the enumeration cap, but the first chi is free
+    out = decide_dichotomy([], p=29, r=2)
+    assert out.case == "B"
+    assert out.chi == (1,) * 28
+
+
 def test_family_must_share_field_and_colors():
     fam = [
         Pattern(3, 2, [[1, 1, 1]], (1, 1, 1)),
