@@ -157,9 +157,13 @@ def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Itera
     block = max(1, (1 << 17) // space.p**low)
     images = [np.kron(basis[:, [i]], np.eye(space.n, dtype=np.int64)) for i in range(k)]
     reps = [space.image_points(0, mi[low:]) for mi in images]
+    inner = space.p ** min(low, m * space.n)
     for start in range(0, reps[0].size, block):
-        cols = [space.image_points(r[start : start + block], mi[:low]).reshape(-1) for r, mi in zip(reps, images)]
-        yield np.stack(cols, axis=1)
+        # filled column by column: one column image is alive next to the chunk, not k
+        xs = np.empty((min(block, reps[0].size - start) * inner, k), dtype=np.int64)
+        for i, (r, mi) in enumerate(zip(reps, images)):
+            xs[:, i] = space.image_points(r[start : start + block], mi[:low]).reshape(-1)
+        yield xs
 
 
 def solutions(rows, space: Space, *, cap: int | None = None) -> np.ndarray:

@@ -120,14 +120,17 @@ def _coset_irregularity(fs, space, sub, eps):
     return out
 
 
-def green_regularize(fs: Sequence[np.ndarray], space: Space, v0: Subspace, eps: float) -> GreenReport:
+def green_regularize(
+    fs: Sequence[np.ndarray], space: Space, v0: Subspace, eps: float, *, start_energy: float | None = None
+) -> GreenReport:
     """Refine v0 until every f_i is eps-regular on all but an eps-fraction of cosets.
 
     One function is treated per round (the smallest index over budget); the cut
     intersects the witness hyperplanes of all of its bad cosets at once, and the
     measured energy gain of each round must exceed eps^3.  Terminates
     unconditionally: each round strictly drops dim V_m, and at dim 0 every
-    restriction is a constant.
+    restriction is a constant.  start_energy is the coset energy of v0 when the
+    caller has measured it; otherwise it is measured here.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -135,7 +138,7 @@ def green_regularize(fs: Sequence[np.ndarray], space: Space, v0: Subspace, eps: 
     v = v0
     rounds: list[GreenRound] = []
     eps_frac = Fraction(eps)
-    energy = _coset_energy(fs, space, v)
+    energy = _coset_energy(fs, space, v) if start_energy is None else start_energy
     while True:
         scan = _coset_irregularity(fs, space, v, eps)
         fractions = tuple(float(s[2]) for s in scan)
@@ -216,7 +219,7 @@ def strong_regularize(
     cap = math.ceil(k / delta) + 2
     for m in range(cap):
         eps_m = eps_seq(vs[-1].codim)
-        g = green_regularize(fs, space, vs[-1], eps_m)
+        g = green_regularize(fs, space, vs[-1], eps_m, start_energy=stages[-1].energy)
         vs.append(g.v1)
         # the pass measured the energy of its last subspace; without a round it is unchanged
         energy = g.rounds[-1].energy_after if g.rounds else stages[-1].energy

@@ -29,6 +29,7 @@ def write_inputs(tmp_path):
     write_coloring(tmp_path / "quarter.json", Coloring(Space(2, 6), 2, values))
     write_coloring(tmp_path / "canon5.json", canonical_coloring(Space(5, 3), (1, 2, 3, 4)))
     write_family(tmp_path / "mono5.json", [Pattern(5, 4, [[1, 1, 1]], (c,) * 3) for c in (1, 2, 3, 4)])
+    write_family(tmp_path / "mono5r2.json", [Pattern(5, 2, [[1, 1, 1]], (c,) * 3) for c in (1, 2)])
     # random 2-coloring of F_3^3 whose sparse subfamily forces Case A
     rng = np.random.default_rng(0)
     write_coloring(tmp_path / "rand3.json", Coloring(Space(3, 3), 2, rng.integers(1, 3, 27).astype(np.int64)))
@@ -38,6 +39,10 @@ def write_inputs(tmp_path):
 
 
 RUNS = {
+    # every one of the 16 chi has a certificate
+    "dichotomy_case_a": (0, ["dichotomy", "--family", "mono5r2.json"]),
+    # the witness (1, 2, 3, 4) is the 28th chi of the walk
+    "dichotomy_case_b": (0, ["dichotomy", "--family", "mono5.json"]),
     "model": (0, ["model", "--coloring", "quarter.json", "--eps", "0.5", "--seed", "3"]),
     "recolor": (0, ["recolor", "--coloring", "quarter.json", "--eps", "1", "--eps-reg", "0.5", "--seed", "1"]),
     "recolor_repaint": (

@@ -2,8 +2,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from removal_lab.patterns import Pattern, pattern_stats
+from removal_lab.patterns import Pattern, first_instance, pattern_stats, solution_count
 from removal_lab.ramsey import ChiCertificate, Dichotomy, canonical_coloring, decide_dichotomy
 from removal_lab.space import Space
 
@@ -147,3 +149,78 @@ def test_dichotomy_as_dict_shapes():
     assert a["case"] == "A" and "certificates" in a and "chi" not in a
     b = decide_dichotomy([], p=2, r=1).as_dict()
     assert b["case"] == "B" and b["chi"] == [1] and "certificates" not in b
+
+
+# --- the class-table search against a per-chi enumeration -----------------------
+
+
+def reference_hits(family, space, r, chis):
+    """Per chi, (pattern index, first instance) of the first member with an instance, or None."""
+    out = []
+    for chi in chis:
+        coloring = canonical_coloring(space, chi, r)
+        hit = None
+        for idx, h in enumerate(family):
+            inst = first_instance(h, coloring)
+            if inst is not None:
+                hit = (idx, tuple(int(x) for x in inst))
+                break
+        out.append(hit)
+    return out
+
+
+@st.composite
+def small_families(draw):
+    """1-2 members sharing (p, r), k <= 3, rows drawn freely (zero and repeated rows allowed)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(1, 3))
+    family = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        l = draw(st.integers(0, 2))
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=l * k, max_size=l * k))
+        psi = draw(st.lists(st.integers(1, r), min_size=k, max_size=k))
+        family.append(Pattern(p, r, np.array(entries, dtype=np.int64).reshape(l, k), tuple(psi)))
+    return family
+
+
+@given(small_families())
+@settings(max_examples=200, deadline=None)
+def test_dichotomy_matches_per_chi_first_instance_walk(family):
+    p, r = family[0].p, family[0].r
+    space = Space(p, max(h.k for h in family))
+    # the reference enumerates every member for every chi: keep it to a few million tuples
+    assume(r ** (p - 1) * sum(solution_count(h.rows, space) for h in family) <= 3 * 10**6)
+    out = decide_dichotomy(family)
+    chis = list(product(range(1, r + 1), repeat=p - 1))
+    hits = reference_hits(family, space, r, chis)
+    if None in hits:
+        assert out.case == "B" and out.chi == chis[hits.index(None)] and out.certificates == ()
+    else:
+        assert out.case == "A"
+        assert [(c.chi, c.pattern_index, c.instance) for c in out.certificates] == [
+            (chi, *hit) for chi, hit in zip(chis, hits)
+        ]
+
+
+@pytest.mark.parametrize(
+    "p,rows",
+    [
+        # 390,625 tuples in 5 chunks of 5^7
+        (5, [[1, 1, 1, 0], [0, 1, 1, 1]]),
+        # 3^15 tuples in chunks of 2 * 3^10; x_5 is the last parameter t_3, whose
+        # lead is 1 in the first chunk, so leads with x_5 -> 2 appear only later
+        (3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]),
+    ],
+    ids=["p5-k4", "p3-k5"],
+)
+def test_dichotomy_reads_classes_past_the_first_chunk(p, rows):
+    k = len(rows[0])
+    family = [Pattern(p, 2, rows, (c,) * k) for c in (1, 2)]
+    out = decide_dichotomy(family)
+    assert out.case == "A"
+    n_chi = len(out.certificates)
+    picks = sorted(np.random.default_rng(0).choice(n_chi, size=min(6, n_chi), replace=False))
+    certs = [out.certificates[i] for i in picks]
+    hits = reference_hits(family, Space(p, k), 2, [c.chi for c in certs])
+    assert [(c.pattern_index, c.instance) for c in certs] == hits
