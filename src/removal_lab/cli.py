@@ -23,6 +23,7 @@ from .fields import Subspace
 from .fourier import regularity_norm, transform
 from .patterns import (
     complexity1_check,
+    generic_count,
     pattern_stats,
     read_family,
     read_pattern,
@@ -189,7 +190,7 @@ def _run(args) -> int:
                 "solutions": st.total_solutions,
                 "density": str(Fraction(st.instance_count, st.total_solutions)),
                 "nonzero_instances": st.nonzero_instance_count,
-                "generic_instances": st.generic_count,
+                "generic_instances": generic_count(pattern, coloring, st.nonzero_instance_count),
                 "is_free": st.is_free,
             },
             args.out,

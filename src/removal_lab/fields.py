@@ -8,7 +8,9 @@ the same set of vectors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -96,6 +98,22 @@ def rowspace_basis(rows, p: int) -> np.ndarray:
 def annihilator(rows, p: int) -> np.ndarray:
     """Canonical basis of {y : s . y = 0 for all s in rowspace(rows)}."""
     return rowspace_basis(null_space(rows, p), p)
+
+
+def subspace_bases(m: int, d: int, p: int) -> Iterator[np.ndarray]:
+    """Every d-dimensional subspace of F_p^m once, as its (d, m) RREF basis.
+
+    One basis per choice of pivot columns and of the entries right of each
+    pivot outside the pivot columns, so G(m, d)_p bases in all.
+    """
+    for pivots in itertools.combinations(range(m), d):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, m) if j not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            basis = np.zeros((d, m), dtype=np.int64)
+            basis[range(d), pivots] = 1
+            for (i, j), v in zip(free, values):
+                basis[i, j] = v
+            yield basis
 
 
 def solve(a, b, p: int) -> np.ndarray | None:

@@ -254,6 +254,14 @@ def write_coloring(path, coloring: Coloring):
         _write_lines(fh, coloring.values, "{}\n")
 
 
+def _read_values(fh, size: int, dtype, what: str) -> np.ndarray:
+    """The rest of fh as size values, one per non-blank line; numpy parses each like int() or float()."""
+    lines = [line for line in fh.read().split("\n") if line.strip()]
+    if len(lines) != size:
+        raise ValueError(f"expected {size} {what}, found {len(lines)}")
+    return np.array(lines, dtype=dtype)
+
+
 def read_coloring(path) -> Coloring:
     with open(path) as fh:
         header = _json_header(fh, ("p", "n", "r"), "coloring")
@@ -262,14 +270,11 @@ def read_coloring(path) -> Coloring:
         # every consumer builds one table per color, so r is bounded like |V|
         if r > cap:
             raise ValueError(f"coloring header r = {r} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
-        vals = [int(line) for line in fh if line.strip()]
-    if len(vals) != space.size:
-        raise ValueError(f"expected {space.size} colors, found {len(vals)}")
-    try:
-        values = np.array(vals, dtype=np.int64)
-    except OverflowError:
-        # past int64 is past the capped r too
-        raise ValueError("colors must lie in 1..r") from None
+        try:
+            values = _read_values(fh, space.size, np.int64, "colors")
+        except OverflowError:
+            # past int64 is past the capped r too
+            raise ValueError("colors must lie in 1..r") from None
     return Coloring(space, r, values)
 
 
@@ -286,9 +291,7 @@ def read_table(path) -> tuple[np.ndarray, Space]:
     with open(path) as fh:
         header = _json_header(fh, ("p", "n"), "table")
         space = Space(header["p"], header["n"])
-        vals = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
-    if vals.size != space.size:
-        raise ValueError(f"expected {space.size} values, found {vals.size}")
+        vals = _read_values(fh, space.size, np.float64, "values")
     if not np.isfinite(vals).all():
         raise ValueError("table values must be finite")
     return vals, space

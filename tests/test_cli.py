@@ -356,11 +356,18 @@ def test_console_entry_point_runs():
         (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\nnan\n0.5\n'),
         (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n0.5\n1e999\n'),
         (["fourier", "--color", "3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1\n2\n'),
+        # the readers parse the whole body at once; each refusal above still holds there
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1\n-' + "9" * 30 + "\n"),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": ' + str(10**30) + "}\n1\n2\n"),
+        (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n-inf\n0.5\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1 2\n'),
+        (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n\n0.5 0.5\n\n'),
     ],
     ids=[
         "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
         "rows-wider-than-psi", "color-past-int64", "two-colors-on-a-line", "nan-in-table", "inf-in-table",
-        "color-outside-1-to-r",
+        "color-outside-1-to-r", "last-color-below-int64", "r-above-point-cap", "minus-inf-in-table",
+        "two-colors-on-the-only-line", "two-values-on-the-only-table-line",
     ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):

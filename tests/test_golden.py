@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from removal_lab import cli
-from removal_lab.patterns import Pattern, write_family
+from removal_lab.patterns import Pattern, write_family, write_pattern
 from removal_lab.ramsey import canonical_coloring
 from removal_lab.space import Coloring, Space, write_coloring
 
@@ -36,6 +36,12 @@ def write_inputs(tmp_path):
     write_family(tmp_path / "mono3.json", [Pattern(3, 2, [[1, 1, 2]], (c,) * 3) for c in (1, 2)])
     # codim V_1 = 6 < codim V_2 = 8 < 12, and the recoloring repaints one point
     write_coloring(tmp_path / "canon2.json", canonical_coloring(Space(2, 12), (2,)))
+    # stats inputs where many all-nonzero instances have dependent parameters (generic < nonzero)
+    rng = np.random.default_rng(1)
+    write_coloring(tmp_path / "rand2f4.json", Coloring(Space(2, 4), 2, rng.integers(1, 3, 16).astype(np.int64)))
+    write_pattern(tmp_path / "sum5.json", Pattern(2, 2, [[1, 1, 1, 1, 1]], (1,) * 5))
+    write_coloring(tmp_path / "rand3f4.json", Coloring(Space(3, 4), 3, rng.integers(1, 4, 81).astype(np.int64)))
+    write_pattern(tmp_path / "chain5.json", Pattern(3, 3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], (1, 2, 1, 2, 1)))
 
 
 RUNS = {
@@ -55,6 +61,8 @@ RUNS = {
         0,
         ["remove", "--family", "mono5.json", "--coloring", "canon5.json", "--eps", "1", "--eps-rado", "0.01"],
     ),
+    "stats_chain5_f3": (0, ["stats", "--pattern", "chain5.json", "--coloring", "rand3f4.json"]),
+    "stats_sum5_f2": (0, ["stats", "--pattern", "sum5.json", "--coloring", "rand2f4.json"]),
     "remove_case_a": (
         2,
         ["remove", "--family", "mono3.json", "--coloring", "rand3.json", "--eps", "0.7", "--eps-rado", "1.5"],

@@ -6,12 +6,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from removal_lab.fields import null_space, rank, rowspace_basis
+from removal_lab.fields import null_space, rank, rowspace_basis, subspace_bases
 from removal_lab.patterns import (
     ENUMERATION_CAP,
     Pattern,
+    batch_rank,
+    color_tables,
     complexity1_check,
     first_instance,
+    generic_count,
+    iter_matches,
     iter_solution_chunks,
     lam,
     pattern_stats,
@@ -29,6 +33,8 @@ from removal_lab.space import Coloring, Space
 from removal_lab.errors import ResourceCapError, UnsupportedCharacteristicError
 
 AP4 = [[1, -2, 1, 0], [0, 1, -2, 1]]
+CHAIN5 = [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]]
+PAIR4 = [[1, 1, 1, 0], [0, 1, 1, 1]]
 # Cauchy-Schwarz complexity 2 yet controlled by the U^2 norm; the interesting
 # positive case for the squared-forms test.
 CS2_TRUE1 = [[2, 1, 1, -1, 0, 0], [1, 2, 1, 0, -1, 0], [1, 1, 2, 0, 0, -1]]
@@ -147,8 +153,57 @@ def test_all_red_schur_stats_golden():
     assert st_.instance_count == 16
     assert st_.density == Fraction(1)
     assert st_.nonzero_instance_count == 6
-    assert st_.generic_count == 6
+    assert generic_count(red_pattern(2, [[1, 1, 1]], 3), col, st_.nonzero_instance_count) == 6
     assert not st_.is_free
+
+
+def gaussian_binomial(m, d, p):
+    num = den = 1
+    for i in range(d):
+        num *= p ** (m - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("m, p", [(m, p) for m in range(1, 5) for p in (2, 3)] + [(3, 5)])
+def test_subspace_walk_lists_each_subspace_once(m, p):
+    for d in range(m + 1):
+        bases = list(subspace_bases(m, d, p))
+        assert all(b.shape == (d, m) and np.array_equal(rowspace_basis(b, p), b) for b in bases)
+        assert len({b.tobytes() for b in bases}) == len(bases) == gaussian_binomial(m, d, p)
+
+
+# (p, n, rows, r, seed): the seed draws psi and a coloring under which many
+# matched all-nonzero tuples have dependent parameters (generic < nonzero)
+GENERIC_CASES = {
+    "F2^4-sum5": (2, 4, [[1, 1, 1, 1, 1]], 2, 0),
+    "F3^3-chain5": (3, 3, CHAIN5, 2, 0),
+    "F5^2-pair4": (5, 2, PAIR4, 2, 4),
+    "F2^3-k4-rank1": (2, 3, [[1, 1, 1, 1]], 2, 6),
+    "F2^2-sum5-m-above-n": (2, 2, [[1, 1, 1, 1, 1]], 2, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CASES))
+def test_generic_count_matches_rank_oracle(name):
+    p, n, rows, r, seed = GENERIC_CASES[name]
+    sp = Space(p, n)
+    rng = np.random.default_rng(seed)
+    k = len(rows[0])
+    h = Pattern(p, r, rows, tuple(int(c) for c in rng.integers(1, r + 1, k)))
+    col = Coloring(sp, r, rng.integers(1, r + 1, sp.size).astype(np.int64))
+    # oracle: the rank of every matched all-nonzero tuple, as a (k, n) digit matrix
+    tables = color_tables(col, h.psi, require_nonzero=True)
+    sel = np.concatenate(list(iter_matches(h.rows, tables, sp)))
+    ranks = batch_rank(sp.decode(sel.reshape(-1)).reshape(-1, k, n), p)
+    expect = int(np.count_nonzero(ranks == h.num_free))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    assert nonzero == sel.shape[0]
+    if h.num_free > n:
+        assert expect == 0 < nonzero
+    else:
+        assert 0 < expect < nonzero
+    assert generic_count(h, col, nonzero) == expect
 
 
 def test_stats_require_matching_field_and_colors():
@@ -178,7 +233,7 @@ def test_density_equals_lambda_on_indicators():
         val = lam(a, [col.indicator(c) for c in psi], sp)
         assert val.exact is not None
         assert val.exact == st_.density
-        assert st_.generic_count <= st_.nonzero_instance_count <= st_.instance_count
+        assert generic_count(h, col, st_.nonzero_instance_count) <= st_.nonzero_instance_count <= st_.instance_count
 
 
 def test_lambda_real_valued_has_no_exact_part():
@@ -398,7 +453,7 @@ def test_kernel_counts_match_brute_force(case):
     assert stats.total_solutions == np.count_nonzero(homogeneous)
     assert stats.instance_count == np.count_nonzero(instances)
     assert stats.nonzero_instance_count == np.count_nonzero(instances & nonzero)
-    assert stats.generic_count == generic
+    assert generic_count(h, col, stats.nonzero_instance_count) == generic
     fs = [col.indicator(c) for c in h.psi]
     assert lam(h.rows, fs, sp).exact == Fraction(int(np.count_nonzero(instances)), int(np.count_nonzero(homogeneous)))
     assert count_inhomogeneous(col, h, offsets) == np.count_nonzero(inhomogeneous & colored)
