@@ -90,58 +90,54 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--cap", type=_positive_int, help="override the ambient point cap")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
-        s = sub.add_parser(name, **kw)
-        return s
-
-    s = cmd("density", help="exact instance density of a pattern in a coloring")
+    s = sub.add_parser("density", help="exact instance density of a pattern in a coloring")
     s.add_argument("--pattern", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--out")
 
-    s = cmd("stats", help="full instance statistics of a pattern in a coloring")
+    s = sub.add_parser("stats", help="full instance statistics of a pattern in a coloring")
     s.add_argument("--pattern", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--out")
 
-    s = cmd("subpattern", help="induced pattern on a subset of variables")
+    s = sub.add_parser("subpattern", help="induced pattern on a subset of variables")
     s.add_argument("--pattern", required=True)
     s.add_argument("--indices", required=True, help="comma-separated 1-based variable indices")
     s.add_argument("--out")
 
-    s = cmd("complexity", help="complexity-1 criterion for a pattern's matrix")
+    s = sub.add_parser("complexity", help="complexity-1 criterion for a pattern's matrix")
     s.add_argument("--pattern", required=True)
     s.add_argument("--out")
 
-    s = cmd("fourier", help="largest nontrivial coefficient of a table or color indicator")
+    s = sub.add_parser("fourier", help="largest nontrivial coefficient of a table or color indicator")
     s.add_argument("--coloring")
     s.add_argument("--table")
     s.add_argument("--color", type=int, default=1)
     s.add_argument("--out", help="write the transform magnitudes as a table")
 
-    s = cmd("regularize", help="refine V until all color indicators are mostly regular")
+    s = sub.add_parser("regularize", help="refine V until all color indicators are mostly regular")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--out")
 
-    s = cmd("model", help="verified regular model for the color indicators")
+    s = sub.add_parser("model", help="verified regular model for the color indicators")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
 
-    s = cmd("recolor", help="regularize a coloring by changing few points")
+    s = sub.add_parser("recolor", help="regularize a coloring by changing few points")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--eps-reg", type=_finite_float, default=0.05)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="path for the recolored coloring")
 
-    s = cmd("dichotomy", help="Case A / Case B decision for a pattern family")
+    s = sub.add_parser("dichotomy", help="Case A / Case B decision for a pattern family")
     s.add_argument("--family", required=True)
     s.add_argument("--out", help="path for the witness or certificate JSON")
 
-    s = cmd("remove", help="make a coloring family-free by bounded recoloring")
+    s = sub.add_parser("remove", help="make a coloring family-free by bounded recoloring")
     s.add_argument("--family", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run even if the complexity-1 criterion fails or cannot be decided")
     s.add_argument("--out", help="path for the output coloring")
 
-    s = cmd("reduce", help="encode inhomogeneous systems over a quotient coloring")
+    s = sub.add_parser("reduce", help="encode inhomogeneous systems over a quotient coloring")
     s.add_argument("--family", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--offsets", required=True,

@@ -48,7 +48,7 @@ class Partition:
     @classmethod
     def from_cosets(cls, space: Space, sub: Subspace, carrier: np.ndarray | None = None) -> "Partition":
         """Cosets of sub, restricted to the carrier (default: all of V)."""
-        labels, _ = space.coset_ids(sub)
+        labels = space.coset_ids(sub)
         if carrier is not None:
             mask = np.zeros(space.size, dtype=bool)
             mask[np.asarray(carrier, dtype=np.int64)] = True

@@ -47,13 +47,15 @@ class CaseAAbort(RemovalLabError):
     """Removal pipeline abort: every canonical coloring contains an instance.
 
     Carries the dichotomy result so callers can render the per-coloring
-    certificates as evidence.
+    certificates as evidence.  phase names the pipeline step that aborted;
+    the dichotomy is the only one that can.
     """
 
-    def __init__(self, message: str, *, dichotomy: Any, phase: str):
+    phase = "dichotomy"
+
+    def __init__(self, message: str, *, dichotomy: Any):
         super().__init__(message)
         self.dichotomy = dichotomy
-        self.phase = phase
 
 
 class VerificationError(RemovalLabError):

@@ -64,13 +64,9 @@ class Pattern:
         return len(self.psi)
 
     @property
-    def rank(self) -> int:
-        return rank(self.rows, self.p)
-
-    @property
     def num_free(self) -> int:
         """m = k - rank A, the dimension of the solution parametrization."""
-        return self.k - self.rank
+        return self.k - rank(self.rows, self.p)
 
     def null_basis(self) -> np.ndarray:
         return null_space(self.rows, self.p)
@@ -141,7 +137,7 @@ def solution_count(rows, space: Space) -> int:
     return space.size ** (m.shape[1] - rank(m, space.p))
 
 
-def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Iterator[np.ndarray]:
+def iter_solution_chunks(rows, space: Space) -> Iterator[np.ndarray]:
     """Yield (batch, k) arrays of point indices covering every solution once.
 
     Order is little-endian over the parameter tuple (t_1, ..., t_m), t_1 least
@@ -155,9 +151,10 @@ def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Itera
     basis = null_space(a, space.p)
     m, k = basis.shape
     total = capped_power(space.size, m)
-    limit = ENUMERATION_CAP if cap is None else cap
-    if isinstance(total, str) or total > limit:
-        raise ResourceCapError(f"solution enumeration needs {total} tuples, cap is {limit}", requested=total, cap=limit)
+    if isinstance(total, str) or total > ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"solution enumeration needs {total} tuples, cap is {ENUMERATION_CAP}", requested=total, cap=ENUMERATION_CAP
+        )
     low = next(d for d in range(18) if space.p ** (d + 1) > 1 << 17)
     block = max(1, (1 << 17) // space.p**low)
     # images[i] = kron(N[:, i], I_n): row j*n + c is N[j, i] times unit vector c
@@ -172,9 +169,9 @@ def iter_solution_chunks(rows, space: Space, *, cap: int | None = None) -> Itera
         yield xs
 
 
-def solutions(rows, space: Space, *, cap: int | None = None) -> np.ndarray:
+def solutions(rows, space: Space) -> np.ndarray:
     """All solution tuples as one (count, k) array (desk scale only)."""
-    chunks = list(iter_solution_chunks(rows, space, cap=cap))
+    chunks = list(iter_solution_chunks(rows, space))
     return np.concatenate(chunks, axis=0)
 
 
@@ -190,12 +187,12 @@ def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.nda
     return tables
 
 
-def iter_matches(rows, tables: Sequence[np.ndarray], space: Space, *, cap: int | None = None) -> Iterator[np.ndarray]:
+def iter_matches(rows, tables: Sequence[np.ndarray], space: Space) -> Iterator[np.ndarray]:
     """Per solution chunk in enumeration order, the tuples x with tables[i][x_i] true for all i.
 
     tables are boolean arrays of length |V|, one per variable.
     """
-    for xs in iter_solution_chunks(rows, space, cap=cap):
+    for xs in iter_solution_chunks(rows, space):
         hit = tables[0][xs[:, 0]]
         for i in range(1, len(tables)):
             hit &= tables[i][xs[:, i]]
@@ -294,7 +291,7 @@ def _check_pair(pattern: Pattern, coloring) -> None:
         raise ValueError("pattern and coloring color count mismatch")
 
 
-def pattern_stats(pattern: Pattern, coloring, *, cap: int | None = None) -> PatternStats:
+def pattern_stats(pattern: Pattern, coloring) -> PatternStats:
     """Exhaustive instance statistics for one pattern against one coloring.
 
     instance_count uses the stored color at 0, so zero-touching solutions
@@ -305,7 +302,7 @@ def pattern_stats(pattern: Pattern, coloring, *, cap: int | None = None) -> Patt
     space = coloring.space
     count = 0
     nonzero = 0
-    for xs in iter_matches(pattern.rows, color_tables(coloring, pattern.psi), space, cap=cap):
+    for xs in iter_matches(pattern.rows, color_tables(coloring, pattern.psi), space):
         count += xs.shape[0]
         nonzero += int(np.count_nonzero((xs != 0).all(axis=1)))
     total = solution_count(pattern.rows, space)

@@ -32,7 +32,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .errors import ResourceCapError, VerificationError
-from .patterns import ENUMERATION_CAP, Pattern, iter_solution_chunks, pattern_stats, solution_count
+from .patterns import ENUMERATION_CAP, Pattern, first_instance, iter_solution_chunks, solution_count
 from .space import Coloring, Space, capped_power
 
 
@@ -109,7 +109,7 @@ class Dichotomy:
     n: int
     certificates: tuple[ChiCertificate, ...]
     chi: tuple[int, ...] | None
-    verified: bool
+    verified = True  # built only after the certificates were re-checked
 
     def as_dict(self) -> dict:
         d = {"case": self.case, "p": self.p, "r": self.r, "n": self.n, "verified": self.verified}
@@ -189,10 +189,10 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
         if hit is None:
             coloring = canonical_coloring(space, chi, r)
             for h in family:
-                if not pattern_stats(h, coloring).is_free:
+                if first_instance(h, coloring) is not None:
                     raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
-            return Dichotomy("B", p, r, space.n, (), chi, True)
+            return Dichotomy("B", p, r, space.n, (), chi)
         certificates.append(hit)
     for cert in certificates:
         _check_certificate(family[cert.pattern_index], canonical_coloring(space, cert.chi, r), cert.instance)
-    return Dichotomy("A", p, r, space.n, tuple(certificates), None, True)
+    return Dichotomy("A", p, r, space.n, tuple(certificates), None)

@@ -86,7 +86,7 @@ class GreenReport:
     eps: float
     rounds: tuple[GreenRound, ...]
     final_bad_fractions: tuple[float, ...]
-    verified: bool
+    verified = True  # built only after the re-measurement passed
 
     def as_dict(self) -> dict:
         return {
@@ -173,7 +173,7 @@ def green_regularize(
     verified = all(s[2] <= eps_frac for s in scan)
     if not verified:
         raise VerificationError("green conclusion failed re-measurement", evidence=final)
-    return GreenReport(v1=v, eps=eps, rounds=tuple(rounds), final_bad_fractions=final, verified=True)
+    return GreenReport(v1=v, eps=eps, rounds=tuple(rounds), final_bad_fractions=final)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class StrongReport:
     final_gap: float
     bad_fractions: tuple[float, ...]
     eps_final: float
-    verified: bool
+    verified = True  # built only after both conclusions were re-verified
 
 
 def strong_regularize(
@@ -244,7 +244,6 @@ def strong_regularize(
         final_gap=gap,
         bad_fractions=fractions,
         eps_final=eps_final,
-        verified=True,
     )
 
 
@@ -287,8 +286,8 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     """
     fs = _check_tables(fs, space)
     structural = v2.leq(v1) and u.meet(v1).dim == 0 and u.join(v1).dim == space.n
-    ids1, _ = space.coset_ids(v1)
-    ids2, _ = space.coset_ids(v2)
+    ids1 = space.coset_ids(v1)
+    ids2 = space.coset_ids(v2)
     u_pts = space.subspace_points(u)
     worst_gap = 0.0
     bad = np.zeros(u_pts.size, dtype=bool)
@@ -315,6 +314,9 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     }
 
 
+_MODEL_ATTEMPTS = 64
+
+
 def _derived_seed(seed: int, attempt: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)).generate_state(1)[0])
 
@@ -326,12 +328,11 @@ def regular_model(
     eps: float,
     *,
     seed: int = 0,
-    max_attempts: int = 64,
 ) -> RegularModel:
     """Produce verified (V_2 <= V_1 <= V_0, U) with U + V_1 = V direct.
 
     Runs strong_regularize and draws seeded uniform random complements U of
-    V_1 until the verifier passes; retries up to max_attempts and raises
+    V_1 until the verifier passes; retries up to 64 times and raises
     RetryCapError with per-attempt stats if nothing verifies.
     """
     if eps <= 0:
@@ -351,13 +352,13 @@ def regular_model(
     inner = strong_regularize(fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k)))
     v1, v2 = inner.v1, inner.v2
     stats: list[dict] = []
-    for attempt in range(max_attempts):
+    for attempt in range(_MODEL_ATTEMPTS):
         u = v1.complement(seed=_derived_seed(seed, attempt))
         details = verify_model(fs, space, v1, v2, u, eps)
         stats.append({"attempt": attempt, **details})
         if details["ok"]:
             return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details)
-    raise RetryCapError("no random complement verified", attempts=max_attempts, stats=stats)
+    raise RetryCapError("no random complement verified", attempts=_MODEL_ATTEMPTS, stats=stats)
 
 
 # --- regularity recoloring ------------------------------------------------------
@@ -384,11 +385,6 @@ class RecolorReport:
             "model": self.model.as_dict(),
             "conditions": self.conditions,
         }
-
-
-def _leading_kill_subspace(space: Space, codim: int) -> Subspace:
-    """The deterministic codim-d subspace {x : x_0 = ... = x_{d-1} = 0}."""
-    return Subspace.from_rows(space.p, space.n, np.eye(space.n, dtype=np.int64)[codim:])
 
 
 def regularity_recolor(
@@ -429,7 +425,9 @@ def regularity_recolor(
     d = d0
     while True:
         eps2 = min(eps / (4 * r), float(eps_seq(d)))
-        model = regular_model(fs, space, _leading_kill_subspace(space, d), eps2, seed=seed)
+        # v0 = {x : x_0 = ... = x_{d-1} = 0}, the last n - d rows of the full space's basis
+        v0 = _shrink_to_codim(space, Subspace.full(space.p, space.n), d)
+        model = regular_model(fs, space, v0, eps2, seed=seed)
         d_new = model.v1.codim
         if eps2 <= float(eps_seq(d_new)):
             eps_prime_final = float(eps_seq(d_new))
@@ -438,8 +436,8 @@ def regularity_recolor(
         d = d_new
 
     v1, v2, u = model.v1, model.v2, model.u
-    ids1, _ = space.coset_ids(v1)
-    ids2, _ = space.coset_ids(v2)
+    ids1 = space.coset_ids(v1)
+    ids2 = space.coset_ids(v2)
     u_pts = space.subspace_points(u)
     # U is a complement of V_1, so each V_1-coset holds exactly one x in U;
     # central[y] is the id of x + V_2 for the x in y + V_1

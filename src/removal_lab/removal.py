@@ -33,7 +33,7 @@ from .regularize import RecolorReport, regularity_recolor
 from .space import Coloring, Space, capped_power
 
 # inhomogeneous_reduce builds one Python Pattern per expansion and an
-# (r^|B|, |B|) int64 digit table, so its default cap is sized for memory
+# (r^|B|, |B|) int64 digit table, so its cap is sized for memory
 # rather than for the array enumeration that ENUMERATION_CAP bounds
 REDUCE_CAP = 10**6
 
@@ -52,7 +52,7 @@ class RemovalReport:
     eps_rado: float
     theoretical_constants: dict
     complexity_checked: bool
-    verified_free: bool
+    verified_free = True  # built only after the exhaustive freeness check passed
 
     def as_dict(self) -> dict:
         return {
@@ -157,7 +157,6 @@ def induced_removal(
         raise CaseAAbort(
             "every canonical recoloring admits a sparse-subpattern instance",
             dichotomy=dichotomy,
-            phase="dichotomy",
         )
 
     values = phi1.values.copy()
@@ -174,14 +173,11 @@ def induced_removal(
     )
 
     for h in family:
-        stats = pattern_stats(h, out)
-        if not stats.is_free:
+        instance = first_instance(h, out)
+        if instance is not None:
             raise VerificationError(
                 "patched coloring still has a family instance",
-                evidence={
-                    "pattern_psi": list(h.psi),
-                    "instance": [int(x) for x in first_instance(h, out)],
-                },
+                evidence={"pattern_psi": list(h.psi), "instance": [int(x) for x in instance]},
             )
 
     k_max = max(h.k for h in family)
@@ -200,7 +196,6 @@ def induced_removal(
             eps, eps_rado, phi.r, k_max, len(family), v1.codim
         ),
         complexity_checked=complexity_checked,
-        verified_free=True,
     )
 
 
@@ -270,7 +265,7 @@ def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, part: np.ndarray, sp
     return [tuple(int(x) for x in row) for row in space.encode(coords @ b_sub.basis)]
 
 
-def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> InhomReduction:
+def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
     """Encode inhomogeneous pattern problems as homogeneous ones on a quotient.
 
     pairs is a sequence of (pattern, offsets) with offsets a tuple of point
@@ -282,7 +277,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     instances.  The expected expansion count |B|^(k - rank A) * r^(k(|B|-1))
     is asserted whenever the offset system is consistent.  The r^|B| x |B|
     encoded color table and the total expansion count are checked against
-    cap (default REDUCE_CAP) before either is built.
+    REDUCE_CAP before either is built.
     """
     space = phi.space
     r = phi.r
@@ -298,11 +293,10 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
     comp = b_sub.complement()
     tilde_space = Space(space.p, comp.dim)
 
-    limit = REDUCE_CAP if cap is None else cap
     b_size = int(b_pts.size)
     table = capped_power(r, b_size, b_size)
-    if isinstance(table, str) or table > limit:
-        raise ResourceCapError("encoded color table exceeds the cap", requested=table, cap=limit)
+    if isinstance(table, str) or table > REDUCE_CAP:
+        raise ResourceCapError("encoded color table exceeds the cap", requested=table, cap=REDUCE_CAP)
     n_colors = r**b_size
     # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
     parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
@@ -311,8 +305,8 @@ def inhomogeneous_reduce(phi: Coloring, pairs, *, cap: int | None = None) -> Inh
         0 if part is None else space.p ** (b_sub.dim * (h.k - rank(h.rows, space.p))) * r ** (h.k * (b_size - 1))
         for (h, _), part in zip(pairs, parts)
     ]
-    if sum(sizes) > limit:
-        raise ResourceCapError("expansion count exceeds the cap", requested=sum(sizes), cap=limit)
+    if sum(sizes) > REDUCE_CAP:
+        raise ResourceCapError("expansion count exceeds the cap", requested=sum(sizes), cap=REDUCE_CAP)
 
     # quotient coloring: little-endian base-r digits over the B-coset colors, row j at offset b_pts[j]
     colors = phi.values[space.coset_points(b_pts, comp)] - 1

@@ -73,7 +73,7 @@ def _json_header(fh, keys: tuple[str, ...], what: str) -> dict[str, int]:
 
 
 class Space:
-    """The ambient space F_p^n with cached encode/decode tables."""
+    """The ambient space F_p^n; a point's coordinates are its base-p digits, computed on demand."""
 
     def __init__(self, p: int, n: int):
         check_capped_prime(p)
@@ -101,13 +101,10 @@ class Space:
     def __hash__(self):
         return hash((self.p, self.n))
 
-    @cached_property
+    @property
     def digits(self) -> np.ndarray:
-        """(size, n) table: row i holds the coordinates of point i."""
-        d = np.arange(self.size, dtype=np.int64)[:, None] // self.powers
-        d %= self.p
-        d.setflags(write=False)
-        return d
+        """(size, n) table: row i holds the coordinates of point i; built on each read."""
+        return self.decode(np.arange(self.size, dtype=np.int64))
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -118,7 +115,8 @@ class Space:
         return c @ self.powers
 
     def decode(self, idx) -> np.ndarray:
-        return self.digits[np.asarray(idx, dtype=np.int64)]
+        """Coordinates of the points idx, on a new last axis of length n."""
+        return np.asarray(idx, dtype=np.int64)[..., None] // self.powers % self.p
 
     def add_points(self, a, b) -> np.ndarray:
         return self.encode(self.decode(a) + self.decode(b))
@@ -160,13 +158,14 @@ class Space:
             reps = (np.arange(self.p, dtype=np.int64)[:, None] * w + reps).reshape(-1)
         return reps
 
-    def coset_ids(self, sub: Subspace) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, reps): ids[x] identifies the coset x + sub, reps = transversal(sub).
+    def coset_ids(self, sub: Subspace) -> np.ndarray:
+        """ids[x] identifies the coset x + sub, for every point x.
 
         With P the pivot and F the free columns of the RREF basis B, the point
         of x + sub that is zero at every pivot has free coordinates
         (x[F] - x[P] B[:, F]) mod p; ids[x] is their little-endian code, so ids
-        range over [0, p^codim), are stable across calls, and ids[reps[i]] = i.
+        range over [0, p^codim), are stable across calls, and
+        ids[transversal(sub)[i]] = i.
         """
         self._check_sub(sub)
         free = sub.free_columns()
@@ -176,7 +175,7 @@ class Space:
         ids = np.zeros((self.p,) * self.n, dtype=np.int64)
         for j, form in enumerate(forms.T):
             ids += _linear_form(self.p, form) * self.p**j
-        return ids.reshape(-1), self.transversal(sub)
+        return ids.reshape(-1)
 
     def _check_sub(self, sub: Subspace):
         if (sub.p, sub.n) != (self.p, self.n):

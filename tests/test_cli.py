@@ -332,10 +332,14 @@ def test_missing_file_is_a_usage_error(workdir, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package under test, also from a checkout without an install
+    src = str(Path(removal_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", "import sys; from removal_lab.cli import main; sys.exit(main(['--help']))"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert out.returncode == 0
     assert "subcommand" in out.stdout or "usage" in out.stdout

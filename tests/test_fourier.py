@@ -79,7 +79,7 @@ def test_batch_coset_norms_matches_restrictions():
     sp = Space(3, 4)
     sub = Subspace.from_rows(3, 4, np.array([[1, 0, 0, 0], [0, 1, 2, 0]]))
     f = rng.uniform(0, 1, sp.size)
-    _, reps = sp.coset_ids(sub)
+    reps = sp.transversal(sub)
     norms, wits = batch_coset_norms(f, sp, sub, reps)
     for rep, norm, wit in zip(reps, norms, wits):
         vals, rsp = coset_restrict(f, sp, int(rep), sub)

@@ -42,6 +42,8 @@ def write_inputs(tmp_path):
     write_pattern(tmp_path / "sum5.json", Pattern(2, 2, [[1, 1, 1, 1, 1]], (1,) * 5))
     write_coloring(tmp_path / "rand3f4.json", Coloring(Space(3, 4), 3, rng.integers(1, 4, 81).astype(np.int64)))
     write_pattern(tmp_path / "chain5.json", Pattern(3, 3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], (1, 2, 1, 2, 1)))
+    # x + y + z = 0 over F_2 keeps a monochromatic instance after the patch, so remove refuses
+    write_family(tmp_path / "sum3f2.json", [Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))])
 
 
 RUNS = {
@@ -66,6 +68,14 @@ RUNS = {
     "remove_case_a": (
         2,
         ["remove", "--family", "mono3.json", "--coloring", "rand3.json", "--eps", "0.7", "--eps-rado", "1.5"],
+    ),
+    # the final freeness check finds the instance (12, 8, 4) and exits with a VerificationError
+    "remove_refused": (
+        2,
+        [
+            "remove", "--family", "sum3f2.json", "--coloring", "quarter.json",
+            "--eps", "0.5", "--eps-rado", "1.5", "--acknowledge-complexity",
+        ],
     ),
 }
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from removal_lab import patterns
 from removal_lab.fields import null_space, rank, rowspace_basis, subspace_bases
 from removal_lab.patterns import (
     ENUMERATION_CAP,
@@ -132,13 +133,15 @@ def test_enumeration_order_is_little_endian_in_t(p, n, rows):
     assert np.array_equal(np.concatenate(chunks), _digit_arithmetic_solutions(np.array(rows, dtype=np.int64), sp))
 
 
-def test_enumeration_cap_raises_with_evidence():
+def test_enumeration_cap_raises_with_evidence(monkeypatch):
+    assert ENUMERATION_CAP == 10**8
+    # the cap is read at call time, so lowering the module constant lowers it
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 10**4)
     sp = Space(5, 3)
     with pytest.raises(ResourceCapError) as exc:
-        list(iter_solution_chunks(np.zeros((0, 3), dtype=np.int64), sp, cap=10**4))
+        list(iter_solution_chunks(np.zeros((0, 3), dtype=np.int64), sp))
     assert exc.value.requested == 125**3
     assert exc.value.cap == 10**4
-    assert ENUMERATION_CAP == 10**8
 
 
 # --- stats ------------------------------------------------------------------

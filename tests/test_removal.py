@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from removal_lab import removal
 from removal_lab.errors import CaseAAbort, ResourceCapError, VerificationError
 from removal_lab.fields import Subspace
 from removal_lab.patterns import Pattern, first_instance, pattern_stats
@@ -203,13 +204,14 @@ def test_inhom_quotient_colors_encode_coset_colors():
         assert int(red.coloring.values[t]) == 1 + sum((c - 1) * 3**j for j, c in enumerate(colors))
 
 
-def test_inhom_color_cap():
+def test_inhom_color_cap(monkeypatch):
+    monkeypatch.setattr(removal, "REDUCE_CAP", 5)
     sp = Space(2, 3)
     phi = Coloring(sp, 3, np.ones(sp.size, dtype=np.int64))
     h = Pattern(2, 3, [[1, 1, 1]], (1, 1, 1))
     b = int(sp.encode(np.array([[1, 0, 0]]))[0])
     with pytest.raises(ResourceCapError):
-        inhomogeneous_reduce(phi, [(h, (b,))], cap=5)
+        inhomogeneous_reduce(phi, [(h, (b,))])
 
 
 def test_inhom_offset_arity_checked():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ def test_digits_little_endian():
     sp = Space(3, 3)
     assert sp.decode(np.array([5])).tolist() == [[2, 1, 0]]  # 5 = 2 + 1*3
     assert int(sp.encode(np.array([[0, 0, 1]]))[0]) == 9
+
+
+def test_decode_allocates_for_the_points_only():
+    # a (|V|, n) digit table of F_2^18 would be 38 MB
+    sp = Space(2, 18)
+    tracemalloc.start()
+    try:
+        coords = sp.decode(np.array([0, 5, sp.size - 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert coords.tolist() == [[0] * 18, [1, 0, 1] + [0] * 15, [1] * 18]
 
 
 def test_point_cap_guard(monkeypatch):
@@ -82,7 +96,7 @@ class TestSubspacePoints:
     def test_coset_ids_partition(self):
         sp = Space(3, 4)
         sub = Subspace.from_rows(3, 4, [[1, 0, 0, 1]])
-        ids, reps = sp.coset_ids(sub)
+        ids, reps = sp.coset_ids(sub), sp.transversal(sub)
         assert ids.shape == (sp.size,)
         assert reps.size == 27
         counts = np.bincount(ids)
@@ -94,7 +108,7 @@ class TestSubspacePoints:
         subs = [sub, Subspace.zero(3, 4), Subspace.full(3, 4)]
         subs += [Subspace.from_rows(3, 4, rng.integers(0, 3, (k, 4))) for k in (1, 2, 2, 3)]
         for s in subs:
-            ids, reps = sp.coset_ids(s)
+            ids, reps = sp.coset_ids(s), sp.transversal(s)
             assert np.array_equal(ids[reps], np.arange(reps.size))
             assert np.array_equal(np.sort(reps), sp.subspace_points(s.complement()))
 
@@ -107,7 +121,7 @@ def test_coset_ids_match_the_membership_oracle(p, n):
     subs += [Subspace.from_rows(p, n, rng.integers(0, p, (k, n))) for k in range(1, n) for _ in range(3)]
     coords = sp.digits
     for sub in subs:
-        ids, reps = sp.coset_ids(sub)
+        ids, reps = sp.coset_ids(sub), sp.transversal(sub)
         # x and y share a coset exactly when x - y lies in sub
         member = np.array([sub.contains(d) for d in coords])
         diff = sp.encode(coords[:, None, :] - coords[None, :, :])
