@@ -78,6 +78,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -123,14 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("model", help="verified regular model for the color indicators")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out")
 
     s = sub.add_parser("recolor", help="regularize a coloring by changing few points")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--eps-reg", type=_finite_float, default=0.05)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out", help="path for the recolored coloring")
 
     s = sub.add_parser("dichotomy", help="Case A / Case B decision for a pattern family")
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--eps-rado", type=_finite_float, default=0.1)
     s.add_argument("--eps-reg", type=_finite_float, default=0.05)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--acknowledge-complexity", action="store_true",
                    help="run even if the complexity-1 criterion fails or cannot be decided")
     s.add_argument("--out", help="path for the output coloring")

@@ -2,8 +2,10 @@
 
 A pattern is a pair (A, psi): an l x k coefficient matrix over F_p and a color
 psi(i) for each of the k variables.  The solutions x in V^k of A x = 0 are
-enumerated once each as x = sum_j t_j N_j, t in V^m, m = k - rank A, by the
-coset-points kernel Space.image_points, in chunks of at most 2^17 tuples.
+x = t N, t in V^m, for the (m, k) null basis N = Pattern.null_basis of full
+row rank, m = k - rank A.  The enumeration kernel takes such a parametrization,
+not A, and lists each t N once, in t-order, by the coset-points kernel
+Space.image_points, in chunks of at most 2^17 tuples.
 
 iter_matches is the one enumerate-and-match loop: every instance count and
 search (pattern_stats, generic_count, first_instance,
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ResourceCapError, UnsupportedCharacteristicError
-from .fields import annihilator, as_fp_matrix, check_prime, null_space, rank, rowspace_basis, subspace_bases
+from .fields import annihilator, check_prime, null_space, rank, rowspace_basis, subspace_bases
 from .space import Space, capped_power, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
@@ -66,10 +69,14 @@ class Pattern:
     @property
     def num_free(self) -> int:
         """m = k - rank A, the dimension of the solution parametrization."""
-        return self.k - rank(self.rows, self.p)
+        return self.null_basis.shape[0]
 
+    @cached_property
     def null_basis(self) -> np.ndarray:
-        return null_space(self.rows, self.p)
+        """The (m, k) N of full row rank with solutions x = t N, t in V^m; read-only."""
+        basis = null_space(self.rows, self.p)
+        basis.setflags(write=False)
+        return basis
 
     def canonical_key(self) -> tuple:
         """Dedup key: (canonical row-space basis, psi)."""
@@ -131,24 +138,16 @@ def read_family(path) -> list[Pattern]:
 # --- solution enumeration -------------------------------------------------
 
 
-def solution_count(rows, space: Space) -> int:
-    """Number of solution tuples of A x = 0 in V^k (= |V|^(k - rank A))."""
-    m = as_fp_matrix(rows, space.p)
-    return space.size ** (m.shape[1] - rank(m, space.p))
+def iter_solution_chunks(basis: np.ndarray, space: Space) -> Iterator[np.ndarray]:
+    """Yield (batch, k) arrays of point indices listing each t N, t in V^m, once.
 
-
-def iter_solution_chunks(rows, space: Space) -> Iterator[np.ndarray]:
-    """Yield (batch, k) arrays of point indices covering every solution once.
-
-    Order is little-endian over the parameter tuple (t_1, ..., t_m), t_1 least
-    significant; within a pattern this order is what "first instance" means
-    everywhere in this package.
+    basis is an (m, k) matrix N of full row rank, for a pattern its null_basis.
+    Order is t-order, little-endian over (t_1, ..., t_m), t_1 least significant;
+    on a pattern's null_basis it is what "first instance" means in this package.
 
     x_i is the image of t in F_p^(mn) under kron(N[:, i], I_n).  A chunk runs over
     the low a digits, p^a <= 2^17 < p^(a+1), for max(1, 2^17 // p^a) settings of the rest.
     """
-    a = as_fp_matrix(rows, space.p)
-    basis = null_space(a, space.p)
     m, k = basis.shape
     total = capped_power(space.size, m)
     if isinstance(total, str) or total > ENUMERATION_CAP:
@@ -170,9 +169,8 @@ def iter_solution_chunks(rows, space: Space) -> Iterator[np.ndarray]:
 
 
 def solutions(rows, space: Space) -> np.ndarray:
-    """All solution tuples as one (count, k) array (desk scale only)."""
-    chunks = list(iter_solution_chunks(rows, space))
-    return np.concatenate(chunks, axis=0)
+    """All solution tuples of A x = 0 as one (count, k) array, in t-order (desk scale only)."""
+    return np.concatenate(list(iter_solution_chunks(null_space(rows, space.p), space)), axis=0)
 
 
 def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.ndarray]:
@@ -187,12 +185,12 @@ def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.nda
     return tables
 
 
-def iter_matches(rows, tables: Sequence[np.ndarray], space: Space) -> Iterator[np.ndarray]:
-    """Per solution chunk in enumeration order, the tuples x with tables[i][x_i] true for all i.
+def iter_matches(basis: np.ndarray, tables: Sequence[np.ndarray], space: Space) -> Iterator[np.ndarray]:
+    """Per chunk of iter_solution_chunks(basis, space), the tuples x with tables[i][x_i] true for all i.
 
     tables are boolean arrays of length |V|, one per variable.
     """
-    for xs in iter_solution_chunks(rows, space):
+    for xs in iter_solution_chunks(basis, space):
         hit = tables[0][xs[:, 0]]
         for i in range(1, len(tables)):
             hit &= tables[i][xs[:, i]]
@@ -217,16 +215,16 @@ def lam(rows, fs: Sequence[np.ndarray], space: Space) -> LambdaValue:
     When every f_i is {0,1}-valued the result also carries the exact rational
     count / |V|^m; otherwise exact is None.
     """
-    a = as_fp_matrix(rows, space.p)
-    k = a.shape[1]
+    basis = null_space(rows, space.p)
+    m, k = basis.shape
     if len(fs) != k:
         raise ValueError(f"need {k} functions, got {len(fs)}")
     fs = [np.asarray(f, dtype=np.float64) for f in fs]
     if any(f.shape != (space.size,) for f in fs):
         raise ValueError("function table has wrong length")
-    total = solution_count(a, space)
+    total = space.size**m
     acc = 0.0
-    for xs in iter_solution_chunks(a, space):
+    for xs in iter_solution_chunks(basis, space):
         prod = fs[0][xs[:, 0]].copy()
         for i in range(1, k):
             prod *= fs[i][xs[:, i]]
@@ -302,10 +300,10 @@ def pattern_stats(pattern: Pattern, coloring) -> PatternStats:
     space = coloring.space
     count = 0
     nonzero = 0
-    for xs in iter_matches(pattern.rows, color_tables(coloring, pattern.psi), space):
+    for xs in iter_matches(pattern.null_basis, color_tables(coloring, pattern.psi), space):
         count += xs.shape[0]
         nonzero += int(np.count_nonzero((xs != 0).all(axis=1)))
-    total = solution_count(pattern.rows, space)
+    total = space.size**pattern.num_free
     return PatternStats(
         instance_count=count,
         total_solutions=total,
@@ -328,8 +326,8 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
         mu_U = (-1)^d p^(d(d-1)/2), d = m - dim U,
 
     B_U the RREF basis of U.  U = F_p^m contributes nonzero and U = 0 nothing;
-    every other term runs the enumerate-and-match kernel over the solutions
-    with parameter basis B_U N.  For m > n no m points of V are independent,
+    every other term runs the enumerate-and-match kernel on the parametrization
+    B_U N, of full row rank since B_U and N are.  For m > n no m points of V are independent,
     so the count is 0 without enumeration.
 
     Work: the terms enumerate sum_{d >= 1} G(m, d)_p |V|^(m - d) tuples, G the
@@ -339,8 +337,7 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
-    basis = pattern.null_basis()
-    m = basis.shape[0]
+    m = pattern.num_free
     if nonzero == 0 or m > space.n:
         return 0
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
@@ -348,15 +345,14 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     for d in range(1, m):
         mu = (-1) ** d * p ** (d * (d - 1) // 2)
         for b in subspace_bases(m, m - d, p):
-            rows = annihilator(b @ basis % p, p)
-            total += mu * sum(xs.shape[0] for xs in iter_matches(rows, tables, space))
+            total += mu * sum(xs.shape[0] for xs in iter_matches(b @ pattern.null_basis % p, tables, space))
     return total
 
 
 def first_instance(pattern: Pattern, coloring, *, require_nonzero: bool = True) -> np.ndarray | None:
     """First instance in enumeration order, or None; used for certificates."""
     tables = color_tables(coloring, pattern.psi, require_nonzero=require_nonzero)
-    for xs in iter_matches(pattern.rows, tables, coloring.space):
+    for xs in iter_matches(pattern.null_basis, tables, coloring.space):
         if xs.shape[0]:
             return xs[0].copy()
     return None
@@ -379,7 +375,7 @@ def subpattern(pattern: Pattern, indices: Sequence[int]) -> Pattern:
     if idx[0] < 1 or idx[-1] > pattern.k:
         raise ValueError(f"indices must lie in 1..{pattern.k}")
     cols = [i - 1 for i in idx]
-    proj = pattern.null_basis()[:, cols]
+    proj = pattern.null_basis[:, cols]
     return Pattern(pattern.p, pattern.r, annihilator(proj, pattern.p), tuple(pattern.psi[i] for i in cols))
 
 
@@ -414,8 +410,7 @@ def complexity1_check(rows, p: int) -> bool:
         raise UnsupportedCharacteristicError(
             "the squared-form criterion requires odd characteristic"
         )
-    a = as_fp_matrix(rows, p)
-    basis = null_space(a, p)
+    basis = null_space(rows, p)
     m, k = basis.shape
     flat = np.empty((k, m * m), dtype=np.int64)
     for i in range(k):

@@ -32,7 +32,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .errors import ResourceCapError, VerificationError
-from .patterns import ENUMERATION_CAP, Pattern, first_instance, iter_solution_chunks, solution_count
+from .patterns import ENUMERATION_CAP, Pattern, first_instance, iter_solution_chunks
 from .space import Coloring, Space, capped_power
 
 
@@ -76,7 +76,7 @@ def _class_table(pattern: Pattern, space: Space) -> tuple[np.ndarray, np.ndarray
     seen = np.zeros(q**k, dtype=bool)  # q^k <= p^k <= |V|
     firsts = []
     count = 0
-    for xs in iter_solution_chunks(pattern.rows, space):
+    for xs in iter_solution_chunks(pattern.null_basis, space):
         digits = lead[xs]
         keep = (digits != 0).all(axis=1)
         xs, digits = xs[keep], digits[keep]
@@ -164,7 +164,7 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
             raise ValueError("empty family needs explicit p and r")
         n = 1
     space = Space(p, max(n, 1))
-    cost = list(accumulate((solution_count(h.rows, space) for h in family), initial=space.size))
+    cost = list(accumulate((space.size**h.num_free for h in family), initial=space.size))
     work = capped_power(r, p - 1, cost[-1])
     over = ResourceCapError(f"the chi search needs up to {work} entries", requested=work, cap=ENUMERATION_CAP)
     if r > ENUMERATION_CAP:  # product lists range(1, r + 1) before its first chi

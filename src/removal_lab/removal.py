@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CaseAAbort, ResourceCapError, VerificationError
-from .fields import Subspace, rank, solve
+from .fields import Subspace, solve
 from .patterns import (
     Pattern,
     color_tables,
@@ -161,7 +161,7 @@ def induced_removal(
 
     values = phi1.values.copy()
     if v1.dim > 0:
-        pts = space.subspace_points(v1, t_order=True)
+        pts = space.subspace_points(v1)
         patch = canonical_coloring(Space(space.p, v1.dim), dichotomy.chi, phi.r)
         values[pts[1:]] = patch.values[1:]
     out = phi1.with_values(values)
@@ -289,7 +289,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
             raise ValueError("need one offset per matrix row")
     b_rows = space.decode(np.array([x for _, b in pairs for x in b], dtype=np.int64))
     b_sub = Subspace.from_rows(space.p, space.n, b_rows)
-    b_pts = space.subspace_points(b_sub, t_order=True)
+    b_pts = space.subspace_points(b_sub)
     comp = b_sub.complement()
     tilde_space = Space(space.p, comp.dim)
 
@@ -302,7 +302,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
     parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
     # |B|^(k - rank A) * r^(k(|B|-1)) expansions for a consistent offset system, none otherwise
     sizes = [
-        0 if part is None else space.p ** (b_sub.dim * (h.k - rank(h.rows, space.p))) * r ** (h.k * (b_size - 1))
+        0 if part is None else space.p ** (b_sub.dim * h.num_free) * r ** (h.k * (b_size - 1))
         for (h, _), part in zip(pairs, parts)
     ]
     if sum(sizes) > REDUCE_CAP:
@@ -350,4 +350,4 @@ def count_inhomogeneous(phi: Coloring, pattern: Pattern, offsets) -> int:
         return 0
     pts = np.arange(space.size)
     tables = [t[space.add_points(pts, int(u))] for t, u in zip(color_tables(phi, pattern.psi), space.encode(part))]
-    return sum(xs.shape[0] for xs in iter_matches(pattern.rows, tables, space))
+    return sum(xs.shape[0] for xs in iter_matches(pattern.null_basis, tables, space))

@@ -126,10 +126,9 @@ class Space:
 
     # --- subspaces and cosets ------------------------------------------
 
-    def subspace_points(self, sub: Subspace, *, t_order: bool = False) -> np.ndarray:
-        """Indices of the points of sub: ascending, or with t_order=True in t-order (see coset_points)."""
-        pts = self.coset_points(0, sub)
-        return pts if t_order else np.sort(pts)
+    def subspace_points(self, sub: Subspace) -> np.ndarray:
+        """Indices of the points of sub, in t-order (see coset_points)."""
+        return self.coset_points(0, sub)
 
     def coset_points(self, rep, sub: Subspace) -> np.ndarray:
         """Points of rep + sub, one row per rep for an array of reps.

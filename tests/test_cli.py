@@ -322,6 +322,27 @@ def test_non_finite_eps_is_a_usage_error(workdir, capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recolor", "--coloring", "quarter.json", "--eps", "1", "--seed", "-1"],
+        ["recolor", "--coloring", "canon2.json", "--eps", "0.5", "--eps-reg", "0.3", "--seed", "-1"],
+        ["model", "--coloring", "quarter.json", "--eps", "0.5", "--seed", "-1"],
+        ["remove", "--family", "fam.json", "--coloring", "quarter.json", "--eps", "1", "--seed", "-1"],
+    ],
+    ids=["recolor-trivial-model", "recolor-complement-drawn", "model", "remove"],
+)
+def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
+    # the trivial model never seeds a draw, so only the parser treats both recolor inputs alike
+    write_coloring(workdir / "quarter.json", Coloring(Space(2, 6), 2, np.where(np.arange(64) % 4 == 0, 1, 2)))
+    write_coloring(workdir / "canon2.json", canonical_coloring(Space(2, 12), (2,)))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_is_a_usage_error(workdir, capsys):
     code, _, err = run_cli(
         capsys, "density", "--pattern", str(workdir / "nope.json"),

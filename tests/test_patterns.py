@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from removal_lab import patterns
-from removal_lab.fields import null_space, rank, rowspace_basis, subspace_bases
+from removal_lab.fields import annihilator, null_space, rank, rowspace_basis, subspace_bases
 from removal_lab.patterns import (
     ENUMERATION_CAP,
     Pattern,
@@ -22,7 +22,6 @@ from removal_lab.patterns import (
     pattern_stats,
     read_family,
     read_pattern,
-    solution_count,
     solutions,
     subpattern,
     subpattern_closure,
@@ -76,20 +75,11 @@ def test_unconstrained_enumeration_is_index_order():
     assert np.array_equal(sol[:, 0], np.arange(sp.size))
 
 
-def test_solution_count_matches_rank_formula():
-    rng = np.random.default_rng(7)
-    for p in (2, 3, 5):
-        sp = Space(p, 2)
-        for _ in range(10):
-            a = rng.integers(0, p, size=(rng.integers(0, 3), 4)).astype(np.int64)
-            assert solution_count(a, sp) == sp.size ** (4 - rank(a, p))
-
-
 def test_solutions_satisfy_system_and_are_distinct():
     sp = Space(5, 2)
     a = np.array([[1, 1, 1], [0, 1, 4]], dtype=np.int64)
     sol = solutions(a, sp)
-    assert sol.shape[0] == solution_count(a, sp)
+    assert sol.shape[0] == sp.size ** (3 - rank(a, 5))
     coords = sp.decode(sol.reshape(-1)).reshape(sol.shape[0], 3, sp.n)
     residues = np.einsum("lk,bkn->bln", a % 5, coords) % 5
     assert not residues.any()
@@ -128,7 +118,7 @@ def _digit_arithmetic_solutions(rows, sp):
 )
 def test_enumeration_order_is_little_endian_in_t(p, n, rows):
     sp = Space(p, n)
-    chunks = list(iter_solution_chunks(rows, sp))
+    chunks = list(iter_solution_chunks(null_space(rows, p), sp))
     assert all(xs.shape[0] <= 1 << 17 for xs in chunks)
     assert np.array_equal(np.concatenate(chunks), _digit_arithmetic_solutions(np.array(rows, dtype=np.int64), sp))
 
@@ -139,9 +129,45 @@ def test_enumeration_cap_raises_with_evidence(monkeypatch):
     monkeypatch.setattr(patterns, "ENUMERATION_CAP", 10**4)
     sp = Space(5, 3)
     with pytest.raises(ResourceCapError) as exc:
-        list(iter_solution_chunks(np.zeros((0, 3), dtype=np.int64), sp))
+        list(iter_solution_chunks(null_space(np.zeros((0, 3), dtype=np.int64), 5), sp))
     assert exc.value.requested == 125**3
     assert exc.value.cap == 10**4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_lists_each_tuple_of_a_full_rank_parametrization_once(p):
+    # B = b @ N for a full-rank b, as generic_count passes: the kernel takes B itself, not an annihilator
+    sp = Space(p, 2)
+    rng = np.random.default_rng(p)
+    basis = null_space(CHAIN5, p)
+    for d in (1, 2, 3):
+        b = rng.integers(0, p, (d, basis.shape[0]))
+        while rank(b, p) < d:
+            b = rng.integers(0, p, (d, basis.shape[0]))
+        prod = b @ basis % p
+        xs = np.concatenate(list(iter_solution_chunks(prod, sp)))
+        listed = {tuple(row) for row in xs}
+        assert xs.shape[0] == len(listed) == sp.size**d
+        assert listed == {tuple(row) for row in solutions(annihilator(prod, p), sp)}
+
+
+def test_pattern_computes_its_parametrization_once(monkeypatch):
+    calls = []
+
+    def counting_null_space(rows, p):
+        calls.append(p)
+        return null_space(rows, p)
+
+    monkeypatch.setattr(patterns, "null_space", counting_null_space)
+    sp = Space(2, 3)
+    rng = np.random.default_rng(11)
+    h = Pattern(2, 2, [[1, 1, 1, 1]], (1, 2, 1, 2))
+    col = Coloring(sp, 2, rng.integers(1, 3, sp.size).astype(np.int64))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    assert nonzero > 0 and h.num_free <= sp.n  # so generic_count runs its Moebius terms
+    generic_count(h, col, nonzero)
+    assert first_instance(h, col) is not None
+    assert calls == [2]
 
 
 # --- stats ------------------------------------------------------------------
@@ -197,7 +223,7 @@ def test_generic_count_matches_rank_oracle(name):
     col = Coloring(sp, r, rng.integers(1, r + 1, sp.size).astype(np.int64))
     # oracle: the rank of every matched all-nonzero tuple, as a (k, n) digit matrix
     tables = color_tables(col, h.psi, require_nonzero=True)
-    sel = np.concatenate(list(iter_matches(h.rows, tables, sp)))
+    sel = np.concatenate(list(iter_matches(h.null_basis, tables, sp)))
     ranks = batch_rank(sp.decode(sel.reshape(-1)).reshape(-1, k, n), p)
     expect = int(np.count_nonzero(ranks == h.num_free))
     nonzero = pattern_stats(h, col).nonzero_instance_count
@@ -258,7 +284,7 @@ def test_first_instance_is_least_in_enumeration_order():
     got = first_instance(h, col)
     # manual scan over the same parametrization
     best = None
-    for xs in iter_solution_chunks(h.rows, sp):
+    for xs in iter_solution_chunks(h.null_basis, sp):
         for row in xs:
             if (row != 0).all() and all(col.values[v] == c for v, c in zip(row, h.psi)):
                 best = row

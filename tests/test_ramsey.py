@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from removal_lab.patterns import Pattern, first_instance, pattern_stats, solution_count
+from removal_lab.patterns import Pattern, first_instance, pattern_stats
 from removal_lab.ramsey import ChiCertificate, Dichotomy, canonical_coloring, decide_dichotomy
 from removal_lab.space import Space
 
@@ -190,7 +190,7 @@ def test_dichotomy_matches_per_chi_first_instance_walk(family):
     p, r = family[0].p, family[0].r
     space = Space(p, max(h.k for h in family))
     # the reference enumerates every member for every chi: keep it to a few million tuples
-    assume(r ** (p - 1) * sum(solution_count(h.rows, space) for h in family) <= 3 * 10**6)
+    assume(r ** (p - 1) * sum(space.size**h.num_free for h in family) <= 3 * 10**6)
     out = decide_dichotomy(family)
     chis = list(product(range(1, r + 1), repeat=p - 1))
     hits = reference_hits(family, space, r, chis)

@@ -72,7 +72,7 @@ class TestSubspacePoints:
         sub = Subspace.from_rows(3, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
         pts = sp.subspace_points(sub)
         assert pts.size == 9
-        assert sorted(pts) == list(pts)  # default order is ascending codes
+        assert np.unique(pts).size == 9
         coords = sp.decode(pts)
         y = sub.annihilator_matrix()
         assert not np.any(coords @ y.T % 3)
@@ -80,7 +80,7 @@ class TestSubspacePoints:
     def test_t_order_matches_restriction_indexing(self):
         sp = Space(5, 3)
         sub = Subspace.from_rows(5, 3, [[1, 2, 0], [0, 0, 1]])
-        pts = sp.subspace_points(sub, t_order=True)
+        pts = sp.subspace_points(sub)
         tsp = Space(5, 2)
         expect = sp.encode(tsp.digits @ sub.basis % 5)
         assert np.array_equal(pts, expect)
@@ -90,7 +90,7 @@ class TestSubspacePoints:
         sub = Subspace.from_rows(2, 5, [[1, 1, 0, 0, 0], [0, 0, 1, 0, 1]])
         rep = 7
         pts = sp.coset_points(rep, sub)
-        base = sp.subspace_points(sub, t_order=True)
+        base = sp.subspace_points(sub)
         assert np.array_equal(pts, sp.add_points(base, rep))
 
     def test_coset_ids_partition(self):
@@ -110,7 +110,7 @@ class TestSubspacePoints:
         for s in subs:
             ids, reps = sp.coset_ids(s), sp.transversal(s)
             assert np.array_equal(ids[reps], np.arange(reps.size))
-            assert np.array_equal(np.sort(reps), sp.subspace_points(s.complement()))
+            assert np.array_equal(np.sort(reps), np.sort(sp.subspace_points(s.complement())))
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
