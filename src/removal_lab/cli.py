@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # exit code 2 is reserved for domain failures, so usage errors must exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(1)
 
 

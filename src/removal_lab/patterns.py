@@ -7,32 +7,58 @@ row rank, m = k - rank A.  The enumeration kernel takes such a parametrization,
 not A, and lists each t N once, in t-order, by the coset-points kernel
 Space.image_points, in chunks of at most 2^17 tuples.
 
-iter_matches is the one enumerate-and-match loop: every instance count and
-search (pattern_stats, generic_count, first_instance,
-removal.count_inhomogeneous) filters the enumeration through boolean tables,
-one per variable, and reads its answer off the matched tuples; lam sums table
+iter_matches is the enumerate-and-match loop of every search (first_instance)
+and of the counts over parametrizations of their own (generic_count,
+removal.count_inhomogeneous): it filters the enumeration through boolean
+tables, one per variable, and yields the matched tuples; lam sums table
 products over the same chunks.  generic_count (the matched all-nonzero tuples
 of full rank, which only `stats` reports) is a signed sum of all-nonzero
 counts over the subspaces of the parameter space, by Moebius inversion, so no
 tuple is rank-reduced; its terms enumerate at most about 1.2 times the main
 solution count.
+
+count_matches is the one exact count of matched solutions of A x = 0, for
+one or more table sets in one pass (pattern_stats's instance and nonzero
+counts, the dichotomy's Case B recount, the removal's freeness check).  It
+enumerates with the same match test, or takes the dual route: Poisson
+summation over the code C = ker A in V^k, of size |V|^m, whose dual C^perp
+is the row space of A over V, of size |V|^l, l = rank A:
+
+    sum_{x in C} prod_i f_i(x_i) = |V|^-l sum_{z in C^perp} prod_i F_i(z_i),
+
+F_i the unnormalised DFT of table i, F(z) = sum_x f(x) omega^(x . z).  The
+identity holds in Z/q for a prime q = 1 (mod p) and an omega of order p mod
+q: the characters z -> omega^(x . z) of C^perp still sum to 0 for x outside C,
+and |V| is invertible mod q.  A count lies in [0, |V|^m], so its residues mod
+primes q < 2^29 whose product exceeds |V|^m give it exactly by the Chinese
+remainder theorem; one prime suffices up to |V|^m < 2^28.  The DFT applies
+the p x p matrix omega^(ab) mod q along each of the n axes, the finite-field
+FFT of Pollard (1971); with p <= 31 a p-term dot product of residues stays
+under p q^2 < 2^63, so int64 never overflows, and the roots are kept as
+signed residues, so entries are reduced only when the next step could
+overflow (at p = 2, never before the end).  C^perp is listed by the same
+kernel, iter_solution_chunks on the RREF basis R of the rows.  Route: the dual
+when l < m and p <= 31, enumeration otherwise; both are exact, so the choice
+never changes a count.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ResourceCapError, UnsupportedCharacteristicError
-from .fields import annihilator, check_prime, null_space, rank, rowspace_basis, subspace_bases
+from .fields import annihilator, check_prime, is_prime, null_space, rank, rowspace_basis, subspace_bases
 from .space import Space, capped_power, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
+# the dual route's residues are below 2^29, so a p-term int64 dot product of them is below p 2^58 < 2^63
+DUAL_MAX_P = 31
 
 
 @dataclass(frozen=True)
@@ -158,7 +184,10 @@ def iter_solution_chunks(basis: np.ndarray, space: Space) -> Iterator[np.ndarray
     block = max(1, (1 << 17) // space.p**low)
     # images[i] = kron(N[:, i], I_n): row j*n + c is N[j, i] times unit vector c
     images = (basis.T[:, :, None, None] * np.eye(space.n, dtype=np.int64)).reshape(k, m * space.n, space.n)
-    reps = [space.image_points(0, mi[low:]) for mi in images]
+    if m * space.n > low:
+        reps = [space.image_points(0, mi[low:]) for mi in images]
+    else:  # one chunk covers every t, and its only rep is the point 0
+        reps = [np.zeros(1, dtype=np.int64)] * k
     inner = space.p ** min(low, m * space.n)
     for start in range(0, reps[0].size, block):
         # filled column by column: one column image is alive next to the chunk, not k
@@ -185,16 +214,110 @@ def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.nda
     return tables
 
 
+def _hits(tables: Sequence[np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """The rows x of xs with tables[i][x_i] true for all i, as a boolean mask."""
+    hit = tables[0][xs[:, 0]]
+    for i in range(1, len(tables)):
+        hit &= tables[i][xs[:, i]]
+    return hit
+
+
 def iter_matches(basis: np.ndarray, tables: Sequence[np.ndarray], space: Space) -> Iterator[np.ndarray]:
     """Per chunk of iter_solution_chunks(basis, space), the tuples x with tables[i][x_i] true for all i.
 
     tables are boolean arrays of length |V|, one per variable.
     """
     for xs in iter_solution_chunks(basis, space):
-        hit = tables[0][xs[:, 0]]
-        for i in range(1, len(tables)):
-            hit &= tables[i][xs[:, i]]
-        yield xs[hit]
+        yield xs[_hits(tables, xs)]
+
+
+@lru_cache(maxsize=None)
+def _modulus(p: int, j: int) -> tuple[int, int]:
+    """(q, omega): the j-th largest prime q < 2^29 with q = 1 (mod p), and an omega of order p mod q."""
+    q = _modulus(p, j - 1)[0] - p if j else ((1 << 29) - 2) // p * p + 1
+    while not is_prime(q):
+        q -= p
+    # g^((q-1)/p) has order dividing p, so order exactly p unless it is 1
+    omega = next(w for w in (pow(g, (q - 1) // p, q) for g in range(2, q)) if w != 1)
+    return q, omega
+
+
+def _dual_residues(
+    rowspace: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, q: int, omega: int
+) -> list[int]:
+    """Per table set, #{x in ker A : tables[i][x_i] for all i} mod q, by Poisson summation over the row space.
+
+    rowspace is the (l, k) RREF basis R of A, so iter_solution_chunks(R) lists C^perp once.
+    """
+    p, half = space.p, q // 2
+    # omega^(ab) as signed residues: at p = 2 they are +-1, so no step of the transform needs a reduction
+    w = np.array([[(pow(omega, a * b, q) + half) % q - half for b in range(p)] for a in range(p)], dtype=np.int64)
+    grow = p * int(np.abs(w).max())
+    dft = np.array(table_sets, dtype=np.int64)
+    sets, k = dft.shape[:2]
+    dft = dft.reshape(sets * k, -1)
+    bound = 1  # |entries of dft| <= bound; one step multiplies it by at most grow
+    for _ in range(space.n):
+        if bound * grow >= 1 << 63:
+            dft %= q
+            bound = q
+        # contract the leading axis (the most significant coordinate) and move its result last;
+        # after n steps every axis is transformed and back in place
+        dft = (w @ dft.reshape(sets * k, p, -1)).transpose(0, 2, 1).reshape(sets * k, -1)
+        bound *= grow
+    dft = dft.reshape(sets, k, -1) % q
+    acc = np.zeros(sets, dtype=np.int64)
+    for zs in iter_solution_chunks(rowspace, space):
+        prod = dft[:, 0, zs[:, 0]]
+        for i in range(1, k):
+            prod = prod * dft[:, i, zs[:, i]] % q
+        acc = (acc + prod.sum(axis=1)) % q  # a chunk sums at most 2^17 residues < 2^29
+    scale = pow(space.size ** rowspace.shape[0], -1, q)
+    return [int(a) * scale % q for a in acc]
+
+
+def count_matches(pattern: Pattern, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+    """Per table set, #{x in V^k : A x = 0 and tables[i][x_i] for all i}, exactly, in one pass.
+
+    Each set holds k boolean tables of length |V|, one per variable.  The dual
+    route (see the module docstring) runs when l = rank A < m = k - l and p <=
+    DUAL_MAX_P, enumeration otherwise.  A |V|^m too long to print is refused
+    as enumeration refuses it.
+    """
+    m, k = pattern.null_basis.shape
+    total = capped_power(space.size, m)
+    if k - m < m and space.p <= DUAL_MAX_P and not isinstance(total, str):
+        return _dual_count(pattern, table_sets, space)
+    counts = [0] * len(table_sets)
+    for xs in iter_solution_chunks(pattern.null_basis, space):
+        for j, tables in enumerate(table_sets):
+            counts[j] += int(np.count_nonzero(_hits(tables, xs)))
+    return counts
+
+
+def _dual_count(pattern: Pattern, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
+
+    Work, (primes used) x |V|^l products, is checked against ENUMERATION_CAP before it starts.
+    """
+    m, k = pattern.null_basis.shape
+    moduli, product = [], 1
+    while product <= space.size**m:
+        moduli.append(_modulus(space.p, len(moduli)))
+        product *= moduli[-1][0]
+    work = len(moduli) * space.size ** (k - m)
+    if work > ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"dual count needs {work} products, cap is {ENUMERATION_CAP}", requested=work, cap=ENUMERATION_CAP
+        )
+    rowspace = rowspace_basis(pattern.rows, space.p)
+    counts, modulus = [0] * len(table_sets), 1
+    for q, omega in moduli:
+        for j, residue in enumerate(_dual_residues(rowspace, table_sets, space, q, omega)):
+            # Chinese remainder step: the count mod modulus * q from the count mod modulus and mod q
+            counts[j] += modulus * ((residue - counts[j]) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return counts
 
 
 # --- lambda counts ----------------------------------------------------------
@@ -290,7 +413,7 @@ def _check_pair(pattern: Pattern, coloring) -> None:
 
 
 def pattern_stats(pattern: Pattern, coloring) -> PatternStats:
-    """Exhaustive instance statistics for one pattern against one coloring.
+    """Exact instance statistics for one pattern against one coloring, by count_matches.
 
     instance_count uses the stored color at 0, so zero-touching solutions
     count toward the density (the density normalization is |V|^(k - rank A)).
@@ -298,11 +421,9 @@ def pattern_stats(pattern: Pattern, coloring) -> PatternStats:
     """
     _check_pair(pattern, coloring)
     space = coloring.space
-    count = 0
-    nonzero = 0
-    for xs in iter_matches(pattern.null_basis, color_tables(coloring, pattern.psi), space):
-        count += xs.shape[0]
-        nonzero += int(np.count_nonzero((xs != 0).all(axis=1)))
+    count, nonzero = count_matches(
+        pattern, [color_tables(coloring, pattern.psi), color_tables(coloring, pattern.psi, require_nonzero=True)], space
+    )
     total = space.size**pattern.num_free
     return PatternStats(
         instance_count=count,

@@ -8,7 +8,8 @@ of two things happens on the decision space F_p^{k_max}:
   Case A: every chi admits an all-nonzero instance of some family member
           (certified per chi by the pattern index and the instance tuple), or
   Case B: some chi yields a family-free canonical coloring (certified by an
-          exhaustive freeness check, never by the search's early exit).
+          exact count of all-nonzero instances, never by the search's early
+          exit).
 
 Enumeration of chi is lexicographic over (chi(1), ..., chi(p-1)), and the
 returned Case-B witness is the first failing chi in that order.
@@ -20,7 +21,7 @@ all-nonzero solution reaches, in enumeration order.  Per chi, the first class
 whose lead digits chi maps onto psi gives the member's first instance, the
 tuple an enumeration of that chi's coloring would find.  Certificates are
 still re-checked against the coloring itself: each Case-A instance directly,
-the Case-B witness by an exhaustive recount.
+the Case-B witness by an exact recount (patterns.count_matches).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .errors import ResourceCapError, VerificationError
-from .patterns import ENUMERATION_CAP, Pattern, first_instance, iter_solution_chunks
+from .patterns import ENUMERATION_CAP, Pattern, color_tables, count_matches, iter_solution_chunks
 from .space import Coloring, Space, capped_power
 
 
@@ -144,7 +145,7 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     time the walk reaches the member; a chi is then one lookup per member
     tried.  Certificates on both sides are re-verified mechanically: each
     Case-A instance directly against its canonical coloring, the Case-B
-    coloring by exhaustive freeness for every family member.
+    coloring by an exact all-nonzero count of 0 for every family member.
 
     The chi budget charges each chi what a search enumerating that chi's
     coloring would spend, |V| plus the solution count of each member it tries,
@@ -189,7 +190,7 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
         if hit is None:
             coloring = canonical_coloring(space, chi, r)
             for h in family:
-                if first_instance(h, coloring) is not None:
+                if count_matches(h, [color_tables(coloring, h.psi, require_nonzero=True)], space)[0]:
                     raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
             return Dichotomy("B", p, r, space.n, (), chi)
         certificates.append(hit)

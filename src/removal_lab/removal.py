@@ -5,7 +5,7 @@ induced_removal recolors a small fraction of points so the result has no
 all-nonzero instance of any pattern in the given family, or aborts with a
 Case-A certificate showing that every canonical recoloring of the sparse
 subpatterns is obstructed.  Freeness of the output is always established by
-exhaustive enumeration, never inferred from the construction.
+an exact count, never inferred from the construction.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .patterns import (
     Pattern,
     color_tables,
     complexity1_check,
+    count_matches,
     first_instance,
     iter_matches,
     pattern_stats,
@@ -52,7 +53,7 @@ class RemovalReport:
     eps_rado: float
     theoretical_constants: dict
     complexity_checked: bool
-    verified_free = True  # built only after the exhaustive freeness check passed
+    verified_free = True  # built only after the exact freeness count came out 0
 
     def as_dict(self) -> dict:
         return {
@@ -112,8 +113,8 @@ def induced_removal(
     restriction phi|_{V_2}; (iii) decide the canonical dichotomy for that
     sparse subfamily.  Case A raises CaseAAbort carrying the certificates.
     Case B patches V_1 \\ {0} with the witness canonical coloring and then
-    proves the output family-free by exhaustive enumeration (raising
-    VerificationError with a counterexample instance otherwise).
+    proves the output family-free by an exact count of all-nonzero instances
+    (raising VerificationError with the first instance otherwise).
 
     Every family member must pass the complexity-1 criterion unless
     acknowledge_complexity is set (required at p = 2, where the criterion is
@@ -173,8 +174,8 @@ def induced_removal(
     )
 
     for h in family:
-        instance = first_instance(h, out)
-        if instance is not None:
+        if count_matches(h, [color_tables(out, h.psi, require_nonzero=True)], space)[0]:
+            instance = first_instance(h, out)
             raise VerificationError(
                 "patched coloring still has a family instance",
                 evidence={"pattern_psi": list(h.psi), "instance": [int(x) for x in instance]},

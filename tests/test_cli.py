@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,45 @@ def test_solution_count_too_long_to_print_is_a_cap_report(workdir, capsys):
     assert evidence["requested"] == "1024^1499"
 
 
+def _walsh(values: np.ndarray) -> np.ndarray:
+    """Integer Walsh-Hadamard transform of a table on F_2^n (exact in int64 for 0/1 tables)."""
+    out = values.astype(np.int64)
+    h = 1
+    while h < out.size:
+        a = out.reshape(-1, 2, h)
+        out = np.stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]], axis=1).reshape(-1)
+        h *= 2
+    return out
+
+
+@pytest.mark.parametrize("kind", ["constant", "random"])
+def test_stats_past_the_enumeration_cap(workdir, capsys, kind):
+    # x+y+z=0 on F_2^18 has 2^36 solutions, which enumeration refuses; the dual count needs two primes
+    sp = Space(2, 18)
+    values = np.random.default_rng(18).integers(1, 3, sp.size) if kind == "random" else np.ones(sp.size, dtype=np.int64)
+    write_coloring(workdir / "c18.json", Coloring(sp, 2, values))
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "stats", "--pattern", str(workdir / "h.json"), "--coloring", str(workdir / "c18.json")
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(out)
+    assert report["solutions"] == 2**36
+    if kind == "constant":
+        assert report["instances"] == 2**36
+        assert report["nonzero_instances"] == report["generic_instances"] == (2**18 - 1) * (2**18 - 2)
+    else:
+        assert elapsed < 2.0
+        # sum_{x+y+z=0} S(x)S(y)S(z) = 2^-n sum_z H(z)^3, H the Walsh transform of S; Python ints past 2^63
+        marked = values == 1
+        assert report["instances"] == sum(int(v) ** 3 for v in _walsh(marked)) // sp.size
+        marked[0] = False
+        assert report["nonzero_instances"] == sum(int(v) ** 3 for v in _walsh(marked)) // sp.size
+        # at p = 2 nonzero x, y, x+y are independent, so every all-nonzero solution is generic
+        assert report["generic_instances"] == report["nonzero_instances"]
+
+
 def test_reduce_quotient_coloring(workdir, capsys):
     sp = Space(2, 3)
     rng = np.random.default_rng(9)
@@ -340,7 +380,11 @@ def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the usage line, then why the value was rejected
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith("error: argument --seed: must be >= 0\n")
 
 
 def test_missing_file_is_a_usage_error(workdir, capsys):

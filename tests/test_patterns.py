@@ -14,6 +14,7 @@ from removal_lab.patterns import (
     batch_rank,
     color_tables,
     complexity1_check,
+    count_matches,
     first_instance,
     generic_count,
     iter_matches,
@@ -168,6 +169,94 @@ def test_pattern_computes_its_parametrization_once(monkeypatch):
     generic_count(h, col, nonzero)
     assert first_instance(h, col) is not None
     assert calls == [2]
+
+
+def test_one_chunk_enumeration_lists_no_rep_images(monkeypatch):
+    calls = []
+    image_points = Space.image_points
+
+    def counting_image_points(self, rep, rows):
+        calls.append(rows.shape[0])
+        return image_points(self, rep, rows)
+
+    monkeypatch.setattr(Space, "image_points", counting_image_points)
+    sp = Space(2, 4)
+    h = red_pattern(2, [[1, 1, 1, 1]], 4)  # m n = 12 <= 17 low digits: one chunk
+    chunks = list(iter_solution_chunks(h.null_basis, sp))
+    assert len(chunks) == 1 and chunks[0].shape == (sp.size**3, 4)
+    assert calls == [12] * 4
+
+
+# --- exact counts on the dual code --------------------------------------------
+
+
+def _enumerated(h, tables, sp):
+    return sum(xs.shape[0] for xs in iter_matches(h.null_basis, tables, sp))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_dual_count_matches_enumeration(p, l):
+    rng = np.random.default_rng([p, l])
+    for n in ({2: 3, 3: 2, 5: 1, 7: 1}[p], 0):
+        sp = Space(p, n)
+        for k in range(3, 6):
+            rows = rng.integers(0, p, (l, k))
+            while rank(rows, p) < l:
+                rows = rng.integers(0, p, (l, k))
+            # a zero row changes neither the code nor its dual
+            h = Pattern(p, 2, np.vstack([rows, np.zeros((1, k), dtype=np.int64)]), tuple(rng.integers(1, 3, k)))
+            col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
+            table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+            want = [_enumerated(h, tables, sp) for tables in table_sets]
+            assert patterns._dual_count(h, table_sets, sp) == want
+            assert count_matches(h, table_sets, sp) == want
+
+
+def test_dual_count_combines_two_primes():
+    # x1+...+x4 = 0 on F_2^10: 2^30 solutions, past one prime below 2^29
+    sp = Space(2, 10)
+    h = red_pattern(2, [[1, 1, 1, 1]], 4)
+    col = Coloring(sp, 1, np.ones(sp.size, dtype=np.int64))
+    v = sp.size
+    table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+    # all-nonzero solutions of a sum of k terms: ((|V|-1)^k + (-1)^k (|V|-1)) / |V|
+    assert count_matches(h, table_sets, sp) == [v**3, ((v - 1) ** 4 + v - 1) // v]
+
+
+def test_dual_count_is_exact_at_the_largest_p():
+    # p = 31 is the largest p the dual route takes; from the second axis on its transform reduces between steps
+    p = patterns.DUAL_MAX_P
+    rng = np.random.default_rng(p)
+    for n, rows in ((2, [[1, 2, 3]]), (3, [[1, 2]])):
+        sp = Space(p, n)
+        h = Pattern(p, 2, rows, (1, 2, 1)[: len(rows[0])])
+        col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
+        table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+        want = [_enumerated(h, tables, sp) for tables in table_sets]
+        assert patterns._dual_count(h, table_sets, sp) == count_matches(h, table_sets, sp) == want
+
+
+def test_count_matches_enumerates_past_the_largest_p(monkeypatch):
+    p = 37
+    assert p > patterns.DUAL_MAX_P
+    monkeypatch.setattr(patterns, "_dual_count", None)  # calling it would fail the test
+    sp = Space(p, 2)
+    h = Pattern(p, 2, [[1, 2, 3]], (1, 2, 1))
+    col = Coloring(sp, 2, np.random.default_rng(p).integers(1, 3, sp.size))
+    table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+    assert count_matches(h, table_sets, sp) == [_enumerated(h, tables, sp) for tables in table_sets]
+
+
+def test_dual_count_work_is_capped(monkeypatch):
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 1000)
+    sp = Space(2, 10)
+    h = red_pattern(2, [[1, 1, 1]], 3)
+    col = Coloring(sp, 1, np.ones(sp.size, dtype=np.int64))
+    with pytest.raises(ResourceCapError) as exc:
+        count_matches(h, [color_tables(col, h.psi)], sp)
+    assert exc.value.requested == sp.size  # one prime times |V|^l
+    assert exc.value.cap == 1000
 
 
 # --- stats ------------------------------------------------------------------
@@ -482,6 +571,10 @@ def test_kernel_counts_match_brute_force(case):
     assert stats.total_solutions == np.count_nonzero(homogeneous)
     assert stats.instance_count == np.count_nonzero(instances)
     assert stats.nonzero_instance_count == np.count_nonzero(instances & nonzero)
+    # the dual route on every input, not only where count_matches picks it
+    table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+    want = [np.count_nonzero(instances), np.count_nonzero(instances & nonzero)]
+    assert patterns._dual_count(h, table_sets, sp) == want
     assert generic_count(h, col, stats.nonzero_instance_count) == generic
     fs = [col.indicator(c) for c in h.psi]
     assert lam(h.rows, fs, sp).exact == Fraction(int(np.count_nonzero(instances)), int(np.count_nonzero(homogeneous)))
