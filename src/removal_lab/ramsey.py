@@ -15,13 +15,16 @@ Enumeration of chi is lexicographic over (chi(1), ..., chi(p-1)), and the
 returned Case-B witness is the first failing chi in that order.
 
 Under a canonical coloring an all-nonzero tuple's colors depend only on its
-lead digits, so the search enumerates each member's solutions once, into a
+lead digits, so the search enumerates each parametrization once, into a
 class table: the first solution of every lead-digit tuple that some
-all-nonzero solution reaches, in enumeration order.  Per chi, the first class
-whose lead digits chi maps onto psi gives the member's first instance, the
-tuple an enumeration of that chi's coloring would find.  Certificates are
-still re-checked against the coloring itself: each Case-A instance directly,
-the Case-B witness by an exact recount (patterns.count_matches).
+all-nonzero solution reaches, in enumeration order.  The table depends on the
+member's null basis N alone, not on psi, so there is one class table per
+distinct null basis: the r members of a monochromatic family share one.  Per
+chi, the first class whose lead digits chi maps onto the member's psi gives
+its first instance, the tuple an enumeration of that chi's coloring would
+find.  Certificates are still re-checked against the coloring itself: each
+Case-A instance directly, the Case-B witness by an exact recount
+(patterns.count_matches).
 """
 
 from __future__ import annotations
@@ -65,33 +68,44 @@ def canonical_coloring(space: Space, chi, r: int | None = None) -> Coloring:
     return Coloring(space, r, table[_lead_digits(space.p, space.n)])
 
 
-def _class_table(pattern: Pattern, space: Space) -> tuple[np.ndarray, np.ndarray]:
-    """(leads, instances) of the lead-digit classes of pattern's all-nonzero solutions.
+def _class_table(basis: np.ndarray, space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """(leads, instances) of the lead-digit classes of the all-nonzero tuples t basis.
 
-    Row j holds the first solution of a class and its lead digits; rows are in
-    the enumeration order of those first solutions.  The pass stops once all
+    Row j holds the first tuple of a class and its lead digits; rows are in
+    the enumeration order of those first tuples.  The pass stops once all
     (p-1)^k classes are seen.
+
+    A tuple's class code is sum_i (lead(x_i) - 1) q^i, q = p - 1, summed from
+    one column table per variable.  Point 0 is the only point with lead digit
+    0; its entry is the sentinel q^k instead, so a code clipped at q^k is q^k
+    exactly when the tuple touches 0.  No sort is needed: the first row of
+    each class in a chunk is a minimum over row numbers.
     """
     lead = _lead_digits(space.p, space.n)
-    q, k = space.p - 1, pattern.k
-    seen = np.zeros(q**k, dtype=bool)  # q^k <= p^k <= |V|
+    q, k = space.p - 1, basis.shape[1]
+    sentinel = q**k  # q^k <= p^k <= |V|
+    columns = (lead - 1) * q ** np.arange(k, dtype=np.int64)[:, None]  # (k, |V|)
+    columns[:, 0] = sentinel
+    seen = np.zeros(sentinel + 1, dtype=bool)
+    seen[sentinel] = True  # the tuples that touch 0 form no class
     firsts = []
     count = 0
-    for xs in iter_solution_chunks(pattern.null_basis, space):
-        digits = lead[xs]
-        keep = (digits != 0).all(axis=1)
-        xs, digits = xs[keep], digits[keep]
-        code = np.zeros(xs.shape[0], dtype=np.int64)
-        for i in reversed(range(k)):
-            code = code * q + (digits[:, i] - 1)
-        _, first = np.unique(code, return_index=True)
-        first = np.sort(first[~seen[code[first]]])
-        seen[code[first]] = True
-        firsts.append(xs[first])
-        count += first.size
-        if count == seen.size:
+    for xs in iter_solution_chunks(basis, space):
+        code = columns[0, xs[:, 0]]
+        for i in range(1, k):
+            code += columns[i, xs[:, i]]
+        np.minimum(code, sentinel, out=code)
+        # first[c] = the first row of class c in this chunk (ufunc.at is exact on repeated indices)
+        first = np.full(sentinel + 1, xs.shape[0], dtype=np.int64)
+        np.minimum.at(first, code, np.arange(xs.shape[0]))
+        new = np.flatnonzero((first < xs.shape[0]) & ~seen)
+        seen[new] = True
+        rows = np.sort(first[new])
+        firsts.append(xs[rows])
+        count += rows.size
+        if count == sentinel:
             break
-    instances = np.concatenate(firsts) if firsts else np.empty((0, k), dtype=np.int64)
+    instances = np.concatenate(firsts)  # iter_solution_chunks yields at least one chunk
     return lead[instances], instances
 
 
@@ -141,16 +155,18 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     """Decide Case A / Case B for a pattern family on F_p^{k_max}.
 
     For an empty family p and r must be given explicitly and the outcome is
-    Case B with the all-1s chi.  Each member's class table is built the first
-    time the walk reaches the member; a chi is then one lookup per member
-    tried.  Certificates on both sides are re-verified mechanically: each
-    Case-A instance directly against its canonical coloring, the Case-B
-    coloring by an exact all-nonzero count of 0 for every family member.
+    Case B with the all-1s chi.  There is one class table per distinct null
+    basis, built the first time the walk reaches a member with that basis; a
+    chi is then one lookup per member tried.  Certificates on both sides are
+    re-verified mechanically: each Case-A instance directly against its
+    canonical coloring, the Case-B coloring by an exact all-nonzero count of 0
+    for every family member.
 
     The chi budget charges each chi what a search enumerating that chi's
-    coloring would spend, |V| plus the solution count of each member it tries,
-    an upper bound on the lookups done; once the chi tried cost over
-    ENUMERATION_CAP, ResourceCapError.
+    coloring would spend, |V| plus the solution count of each member it tries.
+    Sharing tables does not change that charge, which stays an upper bound on
+    the work done; once the chi tried cost over ENUMERATION_CAP,
+    ResourceCapError.
     """
     family = list(family)
     if family:
@@ -172,16 +188,18 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
         raise over
     spent = 0
     certificates: list[ChiCertificate] = []
-    tables: list[tuple[np.ndarray, np.ndarray]] = []
+    # a class table depends on the member's null basis alone, not on its psi
+    keys = [(h.null_basis.tobytes(), h.null_basis.shape) for h in family]
+    tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for chi in product(range(1, r + 1), repeat=p - 1):
         if spent > ENUMERATION_CAP:
             raise over
         color_of = np.array((1, *chi), dtype=np.int64)
         hit = None
         for idx, h in enumerate(family):
-            if idx == len(tables):
-                tables.append(_class_table(h, space))
-            leads, instances = tables[idx]
+            if keys[idx] not in tables:
+                tables[keys[idx]] = _class_table(h.null_basis, space)
+            leads, instances = tables[keys[idx]]
             match = np.flatnonzero((color_of[leads] == h.psi).all(axis=1))
             if match.size:
                 hit = ChiCertificate(chi, idx, tuple(int(x) for x in instances[match[0]]))

@@ -16,7 +16,7 @@ certified, and float dust alone never fails a verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -260,6 +260,8 @@ class RegularModel:
     seed: int
     attempts: int
     details: dict
+    # (coset_ids(v1), coset_ids(v2), subspace_points(u)) as the passing verify_model computed them; not reported
+    cosets: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         d = {
@@ -282,7 +284,9 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     (1) is structural (V_2 <= V_1, U + V_1 = V direct); (2) bounds the fraction
     of x in U whose V_1- and V_2-coset means differ by more than eps for some
     f; (3) demands eps-regularity of every f on x + V_2 for every nonzero x in
-    U.  Returns a dict with an overall "ok" plus the measurements.
+    U.  Returns a dict with an overall "ok" plus the measurements, and under
+    "cosets" the arrays measured on, (coset_ids(v1), coset_ids(v2),
+    subspace_points(u)), which regular_model moves out of the dict.
     """
     fs = _check_tables(fs, space)
     structural = v2.leq(v1) and u.meet(v1).dim == 0 and u.join(v1).dim == space.n
@@ -311,6 +315,7 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
         "density_gap_bad_fraction": float(frac_bad),
         "worst_density_gap": worst_gap,
         "max_restriction_norm": max_norm,
+        "cosets": (ids1, ids2, u_pts),
     }
 
 
@@ -344,10 +349,11 @@ def regular_model(
         zero = Subspace.zero(space.p, space.n)
         full = Subspace.full(space.p, space.n)
         details = verify_model(fs, space, zero, zero, full, eps)
+        cosets = details.pop("cosets")
         details["trivial_fallback"] = True
         if not details["ok"]:
             raise VerificationError("trivial model failed verification", evidence=details)
-        return RegularModel(v0, zero, zero, full, eps, seed, 1, details)
+        return RegularModel(v0, zero, zero, full, eps, seed, 1, details, cosets)
     v0 = _shrink_to_codim(space, v0, need)
     inner = strong_regularize(fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k)))
     v1, v2 = inner.v1, inner.v2
@@ -355,9 +361,10 @@ def regular_model(
     for attempt in range(_MODEL_ATTEMPTS):
         u = v1.complement(seed=_derived_seed(seed, attempt))
         details = verify_model(fs, space, v1, v2, u, eps)
+        cosets = details.pop("cosets")
         stats.append({"attempt": attempt, **details})
         if details["ok"]:
-            return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details)
+            return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details, cosets)
     raise RetryCapError("no random complement verified", attempts=_MODEL_ATTEMPTS, stats=stats)
 
 
@@ -435,10 +442,8 @@ def regularity_recolor(
         assert d_new > d, "codimension guess must strictly increase"
         d = d_new
 
-    v1, v2, u = model.v1, model.v2, model.u
-    ids1 = space.coset_ids(v1)
-    ids2 = space.coset_ids(v2)
-    u_pts = space.subspace_points(u)
+    v1, v2 = model.v1, model.v2
+    ids1, ids2, u_pts = model.cosets
     # U is a complement of V_1, so each V_1-coset holds exactly one x in U;
     # central[y] is the id of x + V_2 for the x in y + V_1
     x_of = np.empty(space.p**v1.codim, dtype=np.int64)

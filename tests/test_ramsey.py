@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from removal_lab.patterns import Pattern, first_instance, pattern_stats
-from removal_lab.ramsey import ChiCertificate, Dichotomy, canonical_coloring, decide_dichotomy
+from removal_lab import ramsey
+from removal_lab.fields import null_space
+from removal_lab.patterns import Pattern, first_instance, iter_solution_chunks, pattern_stats, subpattern_closure
+from removal_lab.ramsey import ChiCertificate, Dichotomy, _class_table, canonical_coloring, decide_dichotomy
 from removal_lab.space import Space
 
 
@@ -184,7 +186,19 @@ def small_families(draw):
     return family
 
 
-@given(small_families())
+@st.composite
+def shared_row_families(draw):
+    """2-3 members with the same rows and pairwise different psi: one null basis, one class table."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 3))
+    l = draw(st.integers(0, 2))
+    rows = np.array(draw(st.lists(st.integers(0, p - 1), min_size=l * k, max_size=l * k)), dtype=np.int64)
+    psis = draw(st.lists(st.tuples(*[st.integers(1, r)] * k), min_size=2, max_size=3, unique=True))
+    return [Pattern(p, r, rows.reshape(l, k), psi) for psi in psis]
+
+
+@given(st.one_of(small_families(), shared_row_families()))
 @settings(max_examples=200, deadline=None)
 def test_dichotomy_matches_per_chi_first_instance_walk(family):
     p, r = family[0].p, family[0].r
@@ -224,3 +238,82 @@ def test_dichotomy_reads_classes_past_the_first_chunk(p, rows):
     certs = [out.certificates[i] for i in picks]
     hits = reference_hits(family, Space(p, k), 2, [c.chi for c in certs])
     assert [(c.pattern_index, c.instance) for c in certs] == hits
+
+
+# --- the class table ---------------------------------------------------------------
+
+
+def reference_class_table(rows, space):
+    """Per lead-digit class of the all-nonzero solutions, its first solution in solutions() order, by a loop.
+
+    solutions() concatenates iter_solution_chunks, so the loop reads the chunks
+    and stops once every one of the (p-1)^k classes has its first solution.
+    """
+    basis = null_space(rows, space.p)
+    k = basis.shape[1]
+    lead = np.array([next((int(c) for c in d if c), 0) for d in space.digits])
+    classes = {}
+    for xs in iter_solution_chunks(basis, space):
+        for digits, x in zip(lead[xs].tolist(), xs.tolist()):
+            if 0 not in digits:
+                classes.setdefault(tuple(digits), x)
+        if len(classes) == (space.p - 1) ** k:
+            break
+    return np.array(list(classes), dtype=np.int64).reshape(-1, k), np.array(list(classes.values())).reshape(-1, k)
+
+
+@pytest.mark.parametrize(
+    "p,rows,n_classes,chunks",
+    [
+        (5, np.zeros((0, 1), dtype=np.int64), 4, 1),  # k = 1
+        (5, [[1]], 0, 1),  # k = 1, only the solution 0
+        (2, [[1, 1, 1]], 1, 1),  # q = 1: a single class
+        (3, np.zeros((0, 2), dtype=np.int64), 4, 1),
+        (7, [[1, 1, 1]], 120, 1),  # 120 of the 216 classes are reachable
+        (5, [[1, 1, 1, 0], [0, 1, 1, 1]], 48, 5),  # 5 chunks, 48 of 256 classes
+        (3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], 32, 2),  # all 32 classes by the 2nd of 122 chunks
+    ],
+    ids=["k1", "k1-zero", "p2", "p3-all", "p7-sum3", "p5-k4", "p3-k5"],
+)
+def test_class_table_matches_first_solution_per_class(monkeypatch, p, rows, n_classes, chunks):
+    k = np.shape(rows)[1]
+    space = Space(p, k)
+    read = []
+
+    def counted(basis, space):
+        for xs in iter_solution_chunks(basis, space):
+            read.append(xs.shape[0])
+            yield xs
+
+    monkeypatch.setattr(ramsey, "iter_solution_chunks", counted)
+    leads, instances = _class_table(null_space(rows, p), space)
+    ref_leads, ref_instances = reference_class_table(rows, space)
+    assert leads.shape == instances.shape == (n_classes, k)
+    assert np.array_equal(leads, ref_leads)
+    assert np.array_equal(instances, ref_instances)
+    assert len(read) == chunks  # the pass stops at the chunk that completes the (p-1)^k classes
+
+
+@pytest.mark.parametrize(
+    "family,bases",
+    [
+        (mono_family(5, 3, [[1, 1, 1]], 3), 1),
+        # two null bases of one shape; the walk reads both (x+2y+4z=0 gives certificates)
+        ([Pattern(7, 2, rows, (c,) * 3) for c in (1, 2) for rows in ([[1, 1, 1]], [[1, 2, 4]])], 2),
+        # the sparse subfamily `remove` decides for a canonical coloring of F_5^4
+        # against the 4-color x+y+z=0 family: the closure's members of colors 2..4
+        ([h for h in subpattern_closure(mono_family(5, 4, [[1, 1, 1]], 3)) if h.psi[0] != 1], 3),
+    ],
+    ids=["mono-p5-r3", "two-bases-p7-r2", "closure-p5-r4"],
+)
+def test_one_class_table_per_distinct_null_basis(monkeypatch, family, bases):
+    built = []
+
+    def counted(basis, space):
+        built.append((basis.tobytes(), basis.shape))
+        return _class_table(basis, space)
+
+    monkeypatch.setattr(ramsey, "_class_table", counted)
+    decide_dichotomy(family)
+    assert len({(h.null_basis.tobytes(), h.null_basis.shape) for h in family}) == bases
+    assert len(built) == len(set(built)) == bases

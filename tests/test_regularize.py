@@ -124,6 +124,16 @@ def test_regular_model_verifies():
     out = verify_model(fs, sp, model.v1, model.v2, model.u, 0.3)
     assert out["ok"]
     assert out["structural_ok"]
+    assert_cosets_of(model, sp)
+
+
+def assert_cosets_of(model, sp):
+    """The arrays a model carries are those of its own V_1, V_2 and U, and no report prints them."""
+    ids1, ids2, u_pts = model.cosets
+    assert np.array_equal(ids1, sp.coset_ids(model.v1))
+    assert np.array_equal(ids2, sp.coset_ids(model.v2))
+    assert np.array_equal(u_pts, sp.subspace_points(model.u))
+    assert "cosets" not in model.details and "cosets" not in model.as_dict()
 
 
 def test_regular_model_is_deterministic_per_seed():
@@ -145,6 +155,7 @@ def test_regular_model_trivializes_when_codim_need_exceeds_n():
     assert model.v1.dim == 0 and model.v2.dim == 0
     assert model.u == Subspace.full(2, 3)
     assert verify_model(fs, sp, model.v1, model.v2, model.u, 1e-3)["ok"]
+    assert_cosets_of(model, sp)
 
 
 def test_regular_model_rejects_unknown_backend():
@@ -187,6 +198,7 @@ def test_recolor_sequence_mode_fixpoint():
     assert rep.mode == "sequence"
     assert rep.eps_prime_final == eps_prime(rep.model.v1.codim)
     assert rep.conditions["restriction_regularity_ok"]
+    assert_cosets_of(rep.model, sp)  # the last model of the fixpoint loop, not an earlier one
     assert rep.conditions["max_restriction_norm"] <= rep.eps_prime_final + TOL
 
 
