@@ -7,22 +7,20 @@ row rank, m = k - rank A.  The enumeration kernel takes such a parametrization,
 not A, and lists each t N once, in t-order, by the coset-points kernel
 Space.image_points, in chunks of at most 2^17 tuples.
 
-iter_matches is the enumerate-and-match loop of every search (first_instance)
-and of the counts over parametrizations of their own (generic_count,
-removal.count_inhomogeneous): it filters the enumeration through boolean
-tables, one per variable, and yields the matched tuples; lam sums table
-products over the same chunks.  generic_count (the matched all-nonzero tuples
-of full rank, which only `stats` reports) is a signed sum of all-nonzero
-counts over the subspaces of the parameter space, by Moebius inversion, so no
-tuple is rank-reduced; its terms enumerate at most about 1.2 times the main
-solution count.
+iter_matches is the enumerate-and-match loop of the instance search
+(first_instance): it filters the enumeration through boolean tables, one per
+variable, and yields the matched tuples; lam sums table products over the
+same chunks.
 
-count_matches is the one exact count of matched solutions of A x = 0, for
-one or more table sets in one pass (pattern_stats's instance and nonzero
-counts, the dichotomy's Case B recount, the removal's freeness check).  It
-enumerates with the same match test, or takes the dual route: Poisson
-summation over the code C = ker A in V^k, of size |V|^m, whose dual C^perp
-is the row space of A over V, of size |V|^l, l = rank A:
+count_matches is the one exact count of matched solutions, for one or more
+table sets in one pass.  It takes an (m, k) parametrization N of full row
+rank: a pattern's null basis, or a Moebius term B_U N of generic_count (the
+matched all-nonzero tuples of full rank, a signed sum of all-nonzero counts
+over the subspaces of the parameter space, so no tuple is rank-reduced).  It
+enumerates with the match test of iter_matches, or takes the dual route:
+Poisson summation over the code C = {t N : t in V^m} in V^k, of size |V|^m,
+whose dual C^perp is the annihilator of N (for a null basis, the row space of
+A) over V, of size |V|^l, l = k - m:
 
     sum_{x in C} prod_i f_i(x_i) = |V|^-l sum_{z in C^perp} prod_i F_i(z_i),
 
@@ -37,9 +35,10 @@ FFT of Pollard (1971); with p <= 31 a p-term dot product of residues stays
 under p q^2 < 2^63, so int64 never overflows, and the roots are kept as
 signed residues, so entries are reduced only when the next step could
 overflow (at p = 2, never before the end).  C^perp is listed by the same
-kernel, iter_solution_chunks on the RREF basis R of the rows.  Route: the dual
-when l < m and p <= 31, enumeration otherwise; both are exact, so the choice
-never changes a count.
+kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
+Route: the dual when l < m and p <= 31, enumeration otherwise; both are
+exact, so the choice never changes a count, and either is refused past
+ENUMERATION_CAP before it starts.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def solutions(rows, space: Space) -> np.ndarray:
 
 
 def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.ndarray]:
-    """Tables for iter_matches: table i marks the points colored psi[i].
+    """Tables for count_matches and iter_matches: table i marks the points colored psi[i].
 
     With require_nonzero entry 0 is cleared, so every match has all coordinates nonzero.
     """
@@ -276,31 +275,32 @@ def _dual_residues(
     return [int(a) * scale % q for a in acc]
 
 
-def count_matches(pattern: Pattern, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
-    """Per table set, #{x in V^k : A x = 0 and tables[i][x_i] for all i}, exactly, in one pass.
+def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+    """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
+    basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
     Each set holds k boolean tables of length |V|, one per variable.  The dual
-    route (see the module docstring) runs when l = rank A < m = k - l and p <=
+    route (see the module docstring) runs when l = k - m < m and p <=
     DUAL_MAX_P, enumeration otherwise.  A |V|^m too long to print is refused
     as enumeration refuses it.
     """
-    m, k = pattern.null_basis.shape
+    m, k = basis.shape
     total = capped_power(space.size, m)
     if k - m < m and space.p <= DUAL_MAX_P and not isinstance(total, str):
-        return _dual_count(pattern, table_sets, space)
+        return _dual_count(basis, table_sets, space)
     counts = [0] * len(table_sets)
-    for xs in iter_solution_chunks(pattern.null_basis, space):
+    for xs in iter_solution_chunks(basis, space):
         for j, tables in enumerate(table_sets):
             counts[j] += int(np.count_nonzero(_hits(tables, xs)))
     return counts
 
 
-def _dual_count(pattern: Pattern, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
     """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
 
     Work, (primes used) x |V|^l products, is checked against ENUMERATION_CAP before it starts.
     """
-    m, k = pattern.null_basis.shape
+    m, k = basis.shape
     moduli, product = [], 1
     while product <= space.size**m:
         moduli.append(_modulus(space.p, len(moduli)))
@@ -310,7 +310,7 @@ def _dual_count(pattern: Pattern, table_sets: Sequence[Sequence[np.ndarray]], sp
         raise ResourceCapError(
             f"dual count needs {work} products, cap is {ENUMERATION_CAP}", requested=work, cap=ENUMERATION_CAP
         )
-    rowspace = rowspace_basis(pattern.rows, space.p)
+    rowspace = annihilator(basis, space.p)
     counts, modulus = [0] * len(table_sets), 1
     for q, omega in moduli:
         for j, residue in enumerate(_dual_residues(rowspace, table_sets, space, q, omega)):
@@ -421,9 +421,8 @@ def pattern_stats(pattern: Pattern, coloring) -> PatternStats:
     """
     _check_pair(pattern, coloring)
     space = coloring.space
-    count, nonzero = count_matches(
-        pattern, [color_tables(coloring, pattern.psi), color_tables(coloring, pattern.psi, require_nonzero=True)], space
-    )
+    table_sets = [color_tables(coloring, pattern.psi), color_tables(coloring, pattern.psi, require_nonzero=True)]
+    count, nonzero = count_matches(pattern.null_basis, table_sets, space)
     total = space.size**pattern.num_free
     return PatternStats(
         instance_count=count,
@@ -447,14 +446,14 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
         mu_U = (-1)^d p^(d(d-1)/2), d = m - dim U,
 
     B_U the RREF basis of U.  U = F_p^m contributes nonzero and U = 0 nothing;
-    every other term runs the enumerate-and-match kernel on the parametrization
-    B_U N, of full row rank since B_U and N are.  For m > n no m points of V are independent,
-    so the count is 0 without enumeration.
+    every other term is count_matches on the parametrization B_U N, of full row
+    rank since B_U and N are, so it takes the dual route when k - dim U < dim U.
+    For m > n no m points of V are independent, so the count is 0 at once.
 
-    Work: the terms enumerate sum_{d >= 1} G(m, d)_p |V|^(m - d) tuples, G the
-    Gaussian binomial.  For n >= m that is at most 1.18 |V|^m at p = 2 and
-    0.53 |V|^m at p = 3 (the sup over m, at n = m), and each term is smaller
-    than the main enumeration, so it is under the cap that one passed.
+    Each term is refused past ENUMERATION_CAP like any other count, and it may
+    be refused where the main count was not: x1+...+x4 = 0 on F_2^14 has its
+    2^42 solutions counted on the dual code, but each dim-2 term needs 2^28
+    products by either route.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
@@ -466,7 +465,7 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     for d in range(1, m):
         mu = (-1) ** d * p ** (d * (d - 1) // 2)
         for b in subspace_bases(m, m - d, p):
-            total += mu * sum(xs.shape[0] for xs in iter_matches(b @ pattern.null_basis % p, tables, space))
+            total += mu * count_matches(b @ pattern.null_basis % p, [tables], space)[0]
     return total
 
 

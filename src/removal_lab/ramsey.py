@@ -208,7 +208,7 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
         if hit is None:
             coloring = canonical_coloring(space, chi, r)
             for h in family:
-                if count_matches(h, [color_tables(coloring, h.psi, require_nonzero=True)], space)[0]:
+                if count_matches(h.null_basis, [color_tables(coloring, h.psi, require_nonzero=True)], space)[0]:
                     raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
             return Dichotomy("B", p, r, space.n, (), chi)
         certificates.append(hit)

@@ -340,8 +340,8 @@ def regular_model(
     V_1 until the verifier passes; retries up to 64 times and raises
     RetryCapError with per-attempt stats if nothing verifies.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
     fs = _check_tables(fs, space)
     k = len(fs)
     need = _min_codim_for(space, eps)

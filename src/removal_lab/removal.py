@@ -24,7 +24,6 @@ from .patterns import (
     complexity1_check,
     count_matches,
     first_instance,
-    iter_matches,
     pattern_stats,
     solutions,
     subpattern_closure,
@@ -174,7 +173,7 @@ def induced_removal(
     )
 
     for h in family:
-        if count_matches(h, [color_tables(out, h.psi, require_nonzero=True)], space)[0]:
+        if count_matches(h.null_basis, [color_tables(out, h.psi, require_nonzero=True)], space)[0]:
             instance = first_instance(h, out)
             raise VerificationError(
                 "patched coloring still has a family instance",
@@ -343,7 +342,7 @@ def count_inhomogeneous(phi: Coloring, pattern: Pattern, offsets) -> int:
     """Direct count of x with A x = b and matching colors, for cross-checks.
 
     x = u + y with u a particular solution and A y = 0: each color table is
-    shifted once by u_i and matched against the solutions y.
+    shifted once by u_i, and count_matches counts the solutions y it marks.
     """
     space = phi.space
     part = _particular_solution(pattern.rows, space.decode(_offset_points(offsets, space)), space.p)
@@ -351,4 +350,4 @@ def count_inhomogeneous(phi: Coloring, pattern: Pattern, offsets) -> int:
         return 0
     pts = np.arange(space.size)
     tables = [t[space.add_points(pts, int(u))] for t, u in zip(color_tables(phi, pattern.psi), space.encode(part))]
-    return sum(xs.shape[0] for xs in iter_matches(pattern.null_basis, tables, space))
+    return count_matches(pattern.null_basis, [tables], space)[0]

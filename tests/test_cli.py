@@ -297,6 +297,46 @@ def test_stats_past_the_enumeration_cap(workdir, capsys, kind):
         assert report["generic_instances"] == report["nonzero_instances"]
 
 
+def test_stats_of_a_five_term_sum_counts_its_moebius_terms_on_the_dual_code(workdir, capsys):
+    # x1+...+x5 = 0 on F_2^8: 2^32 solutions; the dimension-3 Moebius terms have 2^24 each
+    sp = Space(2, 8)
+    write_pattern(workdir / "sum5.json", Pattern(2, 2, [[1] * 5], (1,) * 5))
+    write_coloring(workdir / "c8.json", Coloring(sp, 2, np.random.default_rng(9).integers(1, 3, sp.size)))
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "stats", "--pattern", str(workdir / "sum5.json"), "--coloring", str(workdir / "c8.json")
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 2.0
+    # the report that Moebius terms which all enumerate give, in about 23 s on 2 cores
+    assert json.loads(out) == {
+        "command": "stats",
+        "density": "49927501/4294967296",
+        "generic_instances": 43124160,
+        "instances": 49927501,
+        "is_free": False,
+        "nonzero_instances": 47536680,
+        "schema": 1,
+        "solutions": 2**32,
+    }
+
+
+def test_stats_with_moebius_terms_past_the_cap_is_a_cap_report(workdir, capsys):
+    # x1+...+x4 = 0 on F_2^14: the 2^42 solutions are counted on the dual code, but each
+    # dimension-2 Moebius term has a 2-dimensional dual, so either route needs |V|^2 = 2^28
+    sp = Space(2, 14)
+    write_pattern(workdir / "sum4.json", Pattern(2, 2, [[1] * 4], (1,) * 4))
+    write_coloring(workdir / "c14.json", Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size)))
+    code, out, _ = run_cli(
+        capsys, "stats", "--pattern", str(workdir / "sum4.json"), "--coloring", str(workdir / "c14.json")
+    )
+    assert code == 2
+    evidence = json.loads(out)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == 2**28
+
+
 def test_reduce_quotient_coloring(workdir, capsys):
     sp = Space(2, 3)
     rng = np.random.default_rng(9)
@@ -385,6 +425,14 @@ def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
     # the usage line, then why the value was rejected
     assert captured.err.startswith("usage: ")
     assert captured.err.endswith("error: argument --seed: must be >= 0\n")
+
+
+@pytest.mark.parametrize("eps", ["1e300", "2", "0"])
+def test_model_eps_outside_the_unit_interval_exits_one(workdir, capsys, eps):
+    # eps^3 / 4 overflows past about 5.6e102, and an eps above 1 asks for no regularity at all
+    code, out, err = run_cli(capsys, "model", "--coloring", str(workdir / "phi.json"), "--eps", eps)
+    assert code == 1
+    assert out == "" and err == "error: eps must lie in (0, 1]\n"
 
 
 def test_missing_file_is_a_usage_error(workdir, capsys):

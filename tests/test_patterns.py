@@ -209,8 +209,8 @@ def test_dual_count_matches_enumeration(p, l):
             col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
             table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
             want = [_enumerated(h, tables, sp) for tables in table_sets]
-            assert patterns._dual_count(h, table_sets, sp) == want
-            assert count_matches(h, table_sets, sp) == want
+            assert patterns._dual_count(h.null_basis, table_sets, sp) == want
+            assert count_matches(h.null_basis, table_sets, sp) == want
 
 
 def test_dual_count_combines_two_primes():
@@ -221,7 +221,7 @@ def test_dual_count_combines_two_primes():
     v = sp.size
     table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
     # all-nonzero solutions of a sum of k terms: ((|V|-1)^k + (-1)^k (|V|-1)) / |V|
-    assert count_matches(h, table_sets, sp) == [v**3, ((v - 1) ** 4 + v - 1) // v]
+    assert count_matches(h.null_basis, table_sets, sp) == [v**3, ((v - 1) ** 4 + v - 1) // v]
 
 
 def test_dual_count_is_exact_at_the_largest_p():
@@ -234,7 +234,7 @@ def test_dual_count_is_exact_at_the_largest_p():
         col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
         table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
         want = [_enumerated(h, tables, sp) for tables in table_sets]
-        assert patterns._dual_count(h, table_sets, sp) == count_matches(h, table_sets, sp) == want
+        assert patterns._dual_count(h.null_basis, table_sets, sp) == count_matches(h.null_basis, table_sets, sp) == want
 
 
 def test_count_matches_enumerates_past_the_largest_p(monkeypatch):
@@ -245,7 +245,7 @@ def test_count_matches_enumerates_past_the_largest_p(monkeypatch):
     h = Pattern(p, 2, [[1, 2, 3]], (1, 2, 1))
     col = Coloring(sp, 2, np.random.default_rng(p).integers(1, 3, sp.size))
     table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
-    assert count_matches(h, table_sets, sp) == [_enumerated(h, tables, sp) for tables in table_sets]
+    assert count_matches(h.null_basis, table_sets, sp) == [_enumerated(h, tables, sp) for tables in table_sets]
 
 
 def test_dual_count_work_is_capped(monkeypatch):
@@ -254,9 +254,53 @@ def test_dual_count_work_is_capped(monkeypatch):
     h = red_pattern(2, [[1, 1, 1]], 3)
     col = Coloring(sp, 1, np.ones(sp.size, dtype=np.int64))
     with pytest.raises(ResourceCapError) as exc:
-        count_matches(h, [color_tables(col, h.psi)], sp)
+        count_matches(h.null_basis, [color_tables(col, h.psi)], sp)
     assert exc.value.requested == sp.size  # one prime times |V|^l
     assert exc.value.cap == 1000
+
+
+def _spy_dual_routes(monkeypatch):
+    """The m of every parametrization that count_matches sends to the dual route, in call order."""
+    routes = []
+    dual_count = patterns._dual_count
+
+    def spy(basis, table_sets, space):
+        routes.append(basis.shape[0])
+        return dual_count(basis, table_sets, space)
+
+    monkeypatch.setattr(patterns, "_dual_count", spy)
+    return routes
+
+
+def _mask_count(basis, tables, sp):
+    """Matched tuples of t N, from the enumeration and one boolean mask per chunk."""
+    total = 0
+    for xs in iter_solution_chunks(basis, sp):
+        mask = np.ones(xs.shape[0], dtype=bool)
+        for i, table in enumerate(tables):
+            mask &= table[xs[:, i]]
+        total += int(np.count_nonzero(mask))
+    return total
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1)])
+def test_count_matches_on_moebius_terms(p, n, monkeypatch):
+    # every B_U N of a 5-term equation (m = 4), none of them a pattern's null basis:
+    # dim U = 3 has a 2-dimensional dual and takes the dual route, dim U <= 2 enumerates
+    routes = _spy_dual_routes(monkeypatch)
+    sp = Space(p, n)
+    rng = np.random.default_rng([p, n])
+    basis = null_space(rng.integers(1, p, (1, 5)), p)
+    psi = tuple(int(c) for c in rng.integers(1, 3, 5))
+    col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
+    table_sets = [color_tables(col, psi), color_tables(col, psi, require_nonzero=True)]
+    dims = []
+    for dim in (1, 2, 3):
+        for b in subspace_bases(4, dim, p):
+            term = b @ basis % p
+            assert count_matches(term, table_sets, sp) == [_mask_count(term, tables, sp) for tables in table_sets]
+            dims.append(dim)
+    assert routes == [dim for dim in dims if dim == 3]
 
 
 # --- stats ------------------------------------------------------------------
@@ -292,9 +336,11 @@ def test_subspace_walk_lists_each_subspace_once(m, p):
 
 
 # (p, n, rows, r, seed): the seed draws psi and a coloring under which many
-# matched all-nonzero tuples have dependent parameters (generic < nonzero)
+# matched all-nonzero tuples have dependent parameters (generic < nonzero);
+# in the sum5 cases the terms of dimension 3 take the dual route
 GENERIC_CASES = {
     "F2^4-sum5": (2, 4, [[1, 1, 1, 1, 1]], 2, 0),
+    "F2^5-sum5": (2, 5, [[1, 1, 1, 1, 1]], 2, 0),
     "F3^3-chain5": (3, 3, CHAIN5, 2, 0),
     "F5^2-pair4": (5, 2, PAIR4, 2, 4),
     "F2^3-k4-rank1": (2, 3, [[1, 1, 1, 1]], 2, 6),
@@ -303,7 +349,7 @@ GENERIC_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(GENERIC_CASES))
-def test_generic_count_matches_rank_oracle(name):
+def test_generic_count_matches_rank_oracle(name, monkeypatch):
     p, n, rows, r, seed = GENERIC_CASES[name]
     sp = Space(p, n)
     rng = np.random.default_rng(seed)
@@ -321,7 +367,12 @@ def test_generic_count_matches_rank_oracle(name):
         assert expect == 0 < nonzero
     else:
         assert 0 < expect < nonzero
+    routes = _spy_dual_routes(monkeypatch)
     assert generic_count(h, col, nonzero) == expect
+    # a Moebius term of dimension u takes the dual route exactly when k - u < u
+    m = h.num_free
+    dual_dims = [u for u in range(1, m) if k - u < u] if m <= n else []
+    assert sorted(routes) == sorted(u for u in dual_dims for _ in range(gaussian_binomial(m, u, p)))
 
 
 def test_stats_require_matching_field_and_colors():
@@ -574,7 +625,7 @@ def test_kernel_counts_match_brute_force(case):
     # the dual route on every input, not only where count_matches picks it
     table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
     want = [np.count_nonzero(instances), np.count_nonzero(instances & nonzero)]
-    assert patterns._dual_count(h, table_sets, sp) == want
+    assert patterns._dual_count(h.null_basis, table_sets, sp) == want
     assert generic_count(h, col, stats.nonzero_instance_count) == generic
     fs = [col.indicator(c) for c in h.psi]
     assert lam(h.rows, fs, sp).exact == Fraction(int(np.count_nonzero(instances)), int(np.count_nonzero(homogeneous)))
