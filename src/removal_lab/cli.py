@@ -10,11 +10,11 @@ error, 2 structured domain failure with an evidence report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _emit(report: dict, out_path: str | None = None) -> None:
+def _emit(report: dict, out_path: str | None) -> None:
     report = {"schema": SCHEMA, **report}
     text = json.dumps(report, sort_keys=True) + "\n"
     sys.stdout.write(text)
@@ -93,59 +93,179 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _density(args) -> dict:
+    st = pattern_stats(read_pattern(args.pattern), read_coloring(args.coloring))
+    return {
+        "density": str(st.density),
+        "density_float": float(st.density),
+        "instances": st.instance_count,
+        "solutions": st.total_solutions,
+    }
+
+
+def _stats(args) -> dict:
+    pattern = read_pattern(args.pattern)
+    coloring = read_coloring(args.coloring)
+    st = pattern_stats(pattern, coloring)
+    return {
+        "instances": st.instance_count,
+        "solutions": st.total_solutions,
+        "density": str(st.density),
+        "nonzero_instances": st.nonzero_instance_count,
+        "generic_instances": generic_count(pattern, coloring, st.nonzero_instance_count),
+        "is_free": st.is_free,
+    }
+
+
+def _subpattern(args) -> dict:
+    pattern = read_pattern(args.pattern)
+    idx = [int(t) for t in args.indices.split(",") if t.strip()]
+    sub = subpattern(pattern, idx)
+    if args.out:
+        write_pattern(args.out, sub)
+    return {"indices": idx, "pattern": sub.to_dict()}
+
+
+def _complexity(args) -> dict:
+    pattern = read_pattern(args.pattern)
+    return {"p": pattern.p, "complexity_1": bool(complexity1_check(pattern.rows, pattern.p))}
+
+
+def _fourier(args) -> dict:
+    if (args.coloring is None) == (args.table is None):
+        raise ValueError("need exactly one of --coloring / --table")
+    if args.coloring:
+        coloring = read_coloring(args.coloring)
+        if not 1 <= args.color <= coloring.r:
+            raise ValueError(f"--color must lie in 1..{coloring.r}")
+        space = coloring.space
+        values = coloring.indicator(args.color)
+    else:
+        values, space = read_table(args.table)
+    norm, witness = regularity_norm(values, space)
+    if args.out:
+        write_table(args.out, space, np.abs(transform(values, space)))
+    return {"norm": norm, "witness": witness}
+
+
+def _regularize(args) -> dict:
+    coloring = read_coloring(args.coloring)
+    full = Subspace.full(coloring.space.p, coloring.space.n)
+    return green_regularize(coloring.indicators(), coloring.space, full, args.eps).as_dict()
+
+
+def _model(args) -> dict:
+    coloring = read_coloring(args.coloring)
+    full = Subspace.full(coloring.space.p, coloring.space.n)
+    return regular_model(coloring.indicators(), coloring.space, full, args.eps, seed=args.seed).as_dict()
+
+
+def _recolor(args) -> dict:
+    report = regularity_recolor(read_coloring(args.coloring), args.eps, args.eps_reg, seed=args.seed)
+    if args.out:
+        write_coloring(args.out, report.coloring)
+    return report.as_dict()
+
+
+def _dichotomy(args) -> dict:
+    result = decide_dichotomy(read_family(args.family)).as_dict()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(result, sort_keys=True) + "\n")
+    return result
+
+
+def _remove(args) -> dict:
+    family = read_family(args.family)
+    coloring = read_coloring(args.coloring)
+    report = induced_removal(
+        coloring, family, args.eps, eps_rado=args.eps_rado, eps_reg=args.eps_reg, seed=args.seed,
+        acknowledge_complexity=args.acknowledge_complexity,
+    )
+    if args.out:
+        write_coloring(args.out, report.coloring)
+    return report.as_dict()
+
+
+def _reduce(args) -> dict:
+    family = read_family(args.family)
+    coloring = read_coloring(args.coloring)
+    groups = args.offsets.split(";")
+    if len(groups) != len(family):
+        raise ValueError("need one offset group per family member")
+    pairs = [(h, tuple(int(t) for t in g.split(",") if t.strip())) for h, g in zip(family, groups)]
+    red = inhomogeneous_reduce(coloring, pairs)
+    if args.out:
+        write_coloring(args.out, red.coloring)
+    return {
+        "b_size": int(red.b_points.size),
+        "b_points": [int(x) for x in red.b_points],
+        "quotient_dim": red.tilde_space.n,
+        "quotient_colors": red.coloring.r,
+        "expansion_counts": [len(e) for e in red.expansions],
+    }
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls."""
     top = _Parser(prog="removal-lab", description=__doc__)
     top.add_argument("--cap", type=_positive_int, help="override the ambient point cap")
     sub = top.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("density", help="exact instance density of a pattern in a coloring")
+    def add(name, run, help):
+        s = sub.add_parser(name, help=help)
+        s.set_defaults(run=run)
+        return s
+
+    s = add("density", _density, "exact instance density of a pattern in a coloring")
     s.add_argument("--pattern", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--out")
 
-    s = sub.add_parser("stats", help="full instance statistics of a pattern in a coloring")
+    s = add("stats", _stats, "full instance statistics of a pattern in a coloring")
     s.add_argument("--pattern", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--out")
 
-    s = sub.add_parser("subpattern", help="induced pattern on a subset of variables")
+    s = add("subpattern", _subpattern, "induced pattern on a subset of variables")
     s.add_argument("--pattern", required=True)
     s.add_argument("--indices", required=True, help="comma-separated 1-based variable indices")
     s.add_argument("--out")
 
-    s = sub.add_parser("complexity", help="complexity-1 criterion for a pattern's matrix")
+    s = add("complexity", _complexity, "complexity-1 criterion for a pattern's matrix")
     s.add_argument("--pattern", required=True)
     s.add_argument("--out")
 
-    s = sub.add_parser("fourier", help="largest nontrivial coefficient of a table or color indicator")
+    s = add("fourier", _fourier, "largest nontrivial coefficient of a table or color indicator")
     s.add_argument("--coloring")
     s.add_argument("--table")
     s.add_argument("--color", type=int, default=1)
     s.add_argument("--out", help="write the transform magnitudes as a table")
 
-    s = sub.add_parser("regularize", help="refine V until all color indicators are mostly regular")
+    s = add("regularize", _regularize, "refine V until all color indicators are mostly regular")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--out")
 
-    s = sub.add_parser("model", help="verified regular model for the color indicators")
+    s = add("model", _model, "verified regular model for the color indicators")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out")
 
-    s = sub.add_parser("recolor", help="regularize a coloring by changing few points")
+    s = add("recolor", _recolor, "regularize a coloring by changing few points")
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
     s.add_argument("--eps-reg", type=_finite_float, default=0.05)
     s.add_argument("--seed", type=_nonnegative_int, default=0)
     s.add_argument("--out", help="path for the recolored coloring")
 
-    s = sub.add_parser("dichotomy", help="Case A / Case B decision for a pattern family")
+    s = add("dichotomy", _dichotomy, "Case A / Case B decision for a pattern family")
     s.add_argument("--family", required=True)
     s.add_argument("--out", help="path for the witness or certificate JSON")
 
-    s = sub.add_parser("remove", help="make a coloring family-free by bounded recoloring")
+    s = add("remove", _remove, "make a coloring family-free by bounded recoloring")
     s.add_argument("--family", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--eps", type=_finite_float, required=True)
@@ -156,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run even if the complexity-1 criterion fails or cannot be decided")
     s.add_argument("--out", help="path for the output coloring")
 
-    s = sub.add_parser("reduce", help="encode inhomogeneous systems over a quotient coloring")
+    s = add("reduce", _reduce, "encode inhomogeneous systems over a quotient coloring")
     s.add_argument("--family", required=True)
     s.add_argument("--coloring", required=True)
     s.add_argument("--offsets", required=True,
@@ -165,166 +285,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(args) -> int:
-    if args.command == "density":
-        pattern = read_pattern(args.pattern)
-        coloring = read_coloring(args.coloring)
-        st = pattern_stats(pattern, coloring)
-        density = Fraction(st.instance_count, st.total_solutions)
-        _emit(
-            {
-                "command": "density",
-                "density": str(density),
-                "density_float": float(density),
-                "instances": st.instance_count,
-                "solutions": st.total_solutions,
-            },
-            args.out,
-        )
-        return 0
-
-    if args.command == "stats":
-        pattern = read_pattern(args.pattern)
-        coloring = read_coloring(args.coloring)
-        st = pattern_stats(pattern, coloring)
-        _emit(
-            {
-                "command": "stats",
-                "instances": st.instance_count,
-                "solutions": st.total_solutions,
-                "density": str(Fraction(st.instance_count, st.total_solutions)),
-                "nonzero_instances": st.nonzero_instance_count,
-                "generic_instances": generic_count(pattern, coloring, st.nonzero_instance_count),
-                "is_free": st.is_free,
-            },
-            args.out,
-        )
-        return 0
-
-    if args.command == "subpattern":
-        pattern = read_pattern(args.pattern)
-        idx = [int(t) for t in args.indices.split(",") if t.strip()]
-        sub = subpattern(pattern, idx)
-        if args.out:
-            write_pattern(args.out, sub)
-        _emit({"command": "subpattern", "indices": idx, "pattern": sub.to_dict()})
-        return 0
-
-    if args.command == "complexity":
-        pattern = read_pattern(args.pattern)
-        result = complexity1_check(pattern.rows, pattern.p)
-        _emit({"command": "complexity", "p": pattern.p, "complexity_1": bool(result)}, args.out)
-        return 0
-
-    if args.command == "fourier":
-        if (args.coloring is None) == (args.table is None):
-            raise ValueError("need exactly one of --coloring / --table")
-        if args.coloring:
-            coloring = read_coloring(args.coloring)
-            if not 1 <= args.color <= coloring.r:
-                raise ValueError(f"--color must lie in 1..{coloring.r}")
-            space = coloring.space
-            values = coloring.indicator(args.color)
-        else:
-            values, space = read_table(args.table)
-        norm, witness = regularity_norm(values, space)
-        if args.out:
-            mags = np.abs(transform(values, space))
-            write_table(args.out, space, mags)
-        _emit({"command": "fourier", "norm": norm, "witness": witness})
-        return 0
-
-    if args.command == "regularize":
-        coloring = read_coloring(args.coloring)
-        report = green_regularize(
-            coloring.indicators(), coloring.space, Subspace.full(coloring.space.p, coloring.space.n), args.eps
-        )
-        _emit({"command": "regularize", **report.as_dict()}, args.out)
-        return 0
-
-    if args.command == "model":
-        coloring = read_coloring(args.coloring)
-        model = regular_model(
-            coloring.indicators(),
-            coloring.space,
-            Subspace.full(coloring.space.p, coloring.space.n),
-            args.eps,
-            seed=args.seed,
-        )
-        _emit({"command": "model", **model.as_dict()}, args.out)
-        return 0
-
-    if args.command == "recolor":
-        coloring = read_coloring(args.coloring)
-        report = regularity_recolor(coloring, args.eps, args.eps_reg, seed=args.seed)
-        if args.out:
-            write_coloring(args.out, report.coloring)
-        _emit({"command": "recolor", **report.as_dict()})
-        return 0
-
-    if args.command == "dichotomy":
-        family = read_family(args.family)
-        result = decide_dichotomy(family)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(json.dumps(result.as_dict(), sort_keys=True) + "\n")
-        _emit({"command": "dichotomy", **result.as_dict()})
-        return 0
-
-    if args.command == "remove":
-        family = read_family(args.family)
-        coloring = read_coloring(args.coloring)
-        report = induced_removal(
-            coloring,
-            family,
-            args.eps,
-            eps_rado=args.eps_rado,
-            eps_reg=args.eps_reg,
-            seed=args.seed,
-            acknowledge_complexity=args.acknowledge_complexity,
-        )
-        if args.out:
-            write_coloring(args.out, report.coloring)
-        _emit({"command": "remove", **report.as_dict()})
-        return 0
-
-    if args.command == "reduce":
-        family = read_family(args.family)
-        coloring = read_coloring(args.coloring)
-        groups = [g for g in args.offsets.split(";")]
-        if len(groups) != len(family):
-            raise ValueError("need one offset group per family member")
-        pairs = []
-        for h, g in zip(family, groups):
-            offs = tuple(int(t) for t in g.split(",") if t.strip())
-            pairs.append((h, offs))
-        red = inhomogeneous_reduce(coloring, pairs)
-        if args.out:
-            write_coloring(args.out, red.coloring)
-        _emit(
-            {
-                "command": "reduce",
-                "b_size": int(red.b_points.size),
-                "b_points": [int(x) for x in red.b_points],
-                "quotient_dim": red.tilde_space.n,
-                "quotient_colors": red.coloring.r,
-                "expansion_counts": [len(e) for e in red.expansions],
-            }
-        )
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # --cap holds for this call only: the caller's value, or its absence, comes back
     saved = os.environ.get(CAP_ENV_VAR)
     if args.cap is not None:
         os.environ[CAP_ENV_VAR] = str(args.cap)
     try:
-        return _run(args)
+        report = {"command": args.command, **args.run(args)}
+        # the pure reporters copy their report to --out; the others wrote their artifact there
+        reporters = ("density", "stats", "complexity", "regularize", "model")
+        _emit(report, args.out if args.command in reporters else None)
+        return 0
     except RemovalLabError as exc:
         return _fail(exc)
     except (ValueError, OSError) as exc:

@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import Partition, project_energy
 from .errors import RetryCapError, SpaceExhaustedError, VerificationError
 from .fields import Subspace, null_space
 from .fourier import FLOAT_TOL, batch_coset_norms
@@ -42,7 +41,14 @@ def _check_tables(fs: Sequence[np.ndarray], space: Space) -> list[np.ndarray]:
 
 
 def _coset_energy(fs: Sequence[np.ndarray], space: Space, sub: Subspace) -> float:
-    return project_energy(Partition.from_cosets(space, sub), fs)[1]
+    # the float energy.project_energy gives on Partition.from_cosets(space, sub); coset ids are already dense
+    ids = space.coset_ids(sub)
+    counts = np.bincount(ids)
+    energy = 0.0
+    for f in fs:
+        pr = (np.bincount(ids, weights=f) / counts)[ids]
+        energy += float((pr * pr).sum()) / space.size
+    return energy
 
 
 def _shrink_to_codim(space: Space, sub: Subspace, codim: int) -> Subspace:
@@ -132,8 +138,8 @@ def green_regularize(
     restriction is a constant.  start_energy is the coset energy of v0 when the
     caller has measured it; otherwise it is measured here.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
     fs = _check_tables(fs, space)
     v = v0
     rounds: list[GreenRound] = []

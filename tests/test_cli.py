@@ -244,6 +244,48 @@ def test_cap_flag_holds_for_one_call_only(workdir, capsys, monkeypatch):
     assert os.environ[CAP_ENV_VAR] == "5000"
 
 
+def test_the_shared_parser_keeps_nothing_between_calls(workdir, capsys):
+    cli.build_parser.cache_clear()
+    remove = (
+        "remove", "--family", str(workdir / "fam.json"), "--coloring", str(workdir / "mono.json"),
+        "--eps", "0.5", "--eps-rado", "1.5",
+    )
+    assert run_cli(capsys, *remove, "--acknowledge-complexity")[0] == 0
+    code, out, _ = run_cli(capsys, *remove)
+    assert code == 2 and json.loads(out)["error"] == "UnsupportedCharacteristicError"
+
+    recolor = ("recolor", "--coloring", str(workdir / "phi.json"), "--eps", "0.6", "--eps-reg", "0.3")
+    code, out, _ = run_cli(capsys, *recolor, "--seed", "3")
+    assert code == 0 and json.loads(out)["model"]["seed"] == 3
+    code, out, _ = run_cli(capsys, *recolor)
+    assert code == 0 and json.loads(out)["model"]["seed"] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_out_is_the_report_copy_only_for_pure_reporters(workdir, capsys):
+    write_pattern(workdir / "h5.json", Pattern(5, 1, [[1, 1, 1]], (1, 1, 1)))
+    pattern, coloring = str(workdir / "h.json"), str(workdir / "phi.json")
+    out_path = workdir / "report.json"
+    for argv in [
+        ("density", "--pattern", pattern, "--coloring", coloring),
+        ("stats", "--pattern", pattern, "--coloring", coloring),
+        ("complexity", "--pattern", str(workdir / "h5.json")),
+        ("regularize", "--coloring", coloring, "--eps", "0.3"),
+        ("model", "--coloring", coloring, "--eps", "0.4", "--seed", "7"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+        assert out_path.read_bytes() == out.encode()
+        out_path.unlink()
+
+    # dichotomy writes its bare result there: no schema, no command
+    code, out, _ = run_cli(capsys, "dichotomy", "--family", str(workdir / "fam.json"), "--out", str(out_path))
+    assert code == 0
+    report = json.loads(out)
+    del report["schema"], report["command"]
+    assert out_path.read_text() == json.dumps(report, sort_keys=True) + "\n"
+
+
 def test_solution_count_too_long_to_print_is_a_cap_report(workdir, capsys):
     # 1024^1499 solutions: more than 4300 digits, so requested is the power
     write_pattern(workdir / "wide.json", Pattern(2, 2, [[1] * 1500], (1,) * 1500))
@@ -430,9 +472,10 @@ def test_negative_seed_is_a_usage_error(workdir, capsys, argv):
 @pytest.mark.parametrize("eps", ["1e300", "2", "0"])
 def test_model_eps_outside_the_unit_interval_exits_one(workdir, capsys, eps):
     # eps^3 / 4 overflows past about 5.6e102, and an eps above 1 asks for no regularity at all
-    code, out, err = run_cli(capsys, "model", "--coloring", str(workdir / "phi.json"), "--eps", eps)
-    assert code == 1
-    assert out == "" and err == "error: eps must lie in (0, 1]\n"
+    for command in ("model", "regularize"):
+        code, out, err = run_cli(capsys, command, "--coloring", str(workdir / "phi.json"), "--eps", eps)
+        assert code == 1
+        assert out == "" and err == "error: eps must lie in (0, 1]\n"
 
 
 def test_missing_file_is_a_usage_error(workdir, capsys):
