@@ -134,7 +134,7 @@ def _complexity(args) -> dict:
 def _fourier(args) -> dict:
     if (args.coloring is None) == (args.table is None):
         raise ValueError("need exactly one of --coloring / --table")
-    if args.coloring:
+    if args.coloring is not None:
         coloring = read_coloring(args.coloring)
         if not 1 <= args.color <= coloring.r:
             raise ValueError(f"--color must lie in 1..{coloring.r}")

@@ -4,10 +4,16 @@ Characters are e_p(x . z) = exp(2*pi*i * (x . z) / p).  The forward transform
 is an expectation, fhat(z) = E_x f(x) e_p(-x . z), and the inverse is the
 plain sum f(x) = sum_z g(z) e_p(x . z), so transform(transform(f)) round-trips.
 
-The fast path reshapes the table to a (p, ..., p) tensor and runs numpy's
-fftn; coordinate i of a point lives on tensor axis n-1-i because point indices
-are little-endian, and since every coordinate transforms along its own axis
-the flat little-endian indexing of the spectrum comes out right.
+At odd p the table is reshaped to a (p, ..., p) tensor and run through
+numpy's fftn; coordinate i of a point lives on tensor axis n-1-i because point
+indices are little-endian, and since every coordinate transforms along its own
+axis the flat little-endian indexing of the spectrum comes out right.
+
+At p = 2 every character is +-1, so each axis is the sign-only butterfly
+(x + y, x - y) and no complex arithmetic is needed: _walsh runs it, the fast
+Walsh-Hadamard transform.  Its stages take the coordinates in fftn's order
+(coordinate 0, the last tensor axis, first) with the same sums, so its
+results are bit-equal to fftn's on any real or complex table.
 """
 
 from __future__ import annotations
@@ -19,19 +25,43 @@ from .space import Space
 FLOAT_TOL = 1e-9
 
 
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of each row of a (batch, 2^d) array.
+
+    Stage h (h = 1, 2, 4, ...) maps each pair (x, y) of entries h apart to
+    (x + y, x - y): the length-2 DFT along coordinate log2(h).  a is
+    overwritten; the result is a or a buffer of its shape.
+    """
+    batch = a.shape[0]
+    b = np.empty_like(a)
+    h = 1
+    while h < a.shape[1]:
+        x, out = a.reshape(batch, -1, 2, h), b.reshape(batch, -1, 2, h)
+        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
+        a, b = b, a
+        h *= 2
+    return a
+
+
 def transform(values: np.ndarray, space: Space, direction: str = "forward") -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (space.size,):
         raise ValueError("table has wrong length")
     if space.n == 0:
         return v.copy()
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if space.p == 2:
+        out = _walsh(v.reshape(1, -1).copy())[0]  # _walsh overwrites its input, which may be values
+        if direction == "forward":
+            out /= space.size
+        return out
     tensor = v.reshape((space.p,) * space.n)
     if direction == "forward":
         out = np.fft.fftn(tensor) / space.size
-    elif direction == "inverse":
-        out = np.fft.ifftn(tensor) * space.size
     else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        out = np.fft.ifftn(tensor) * space.size
     return out.reshape(space.size)
 
 
@@ -66,9 +96,13 @@ def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.n
     block = max(1, (1 << 22) // size)
     for start in range(0, reps.size, block):
         sel = reps[start : start + block]
-        tables = v[space.coset_points(sel, sub)].reshape(sel.size, *(space.p,) * d)
-        hats = np.fft.fftn(tables, axes=range(1, d + 1)).reshape(sel.size, -1) / size
-        mags = np.abs(hats)
+        tables = v[space.coset_points(sel, sub)].reshape(sel.size, size)
+        if space.p == 2:
+            mags = np.abs(_walsh(tables))
+            mags /= size
+        else:
+            hats = np.fft.fftn(tables.reshape(sel.size, *(space.p,) * d), axes=range(1, d + 1))
+            mags = np.abs(hats.reshape(sel.size, -1) / size)
         mags[:, 0] = -1.0
         w = np.argmax(mags, axis=1)
         norms[start : start + block] = mags[np.arange(sel.size), w]

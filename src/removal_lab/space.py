@@ -237,7 +237,11 @@ class Coloring:
 #
 # Colorings: a one-line JSON header {"p":..,"n":..,"r":..} followed by p^n
 # lines of integers, point order.  Real tables: header {"p":..,"n":..} and
-# decimal values.  Writers are exact mirrors of readers.
+# decimal values.  Writers are exact mirrors of readers.  With r <= 9 a
+# coloring body is one ASCII digit and a newline per point, 2 p^n bytes;
+# _write_digit_lines and _read_digit_lines build and read that body with bytes
+# methods instead of a string per point, and read_coloring hands any other
+# body to the line parser.
 
 
 def _write_lines(fh, values: np.ndarray, line: str):
@@ -246,10 +250,41 @@ def _write_lines(fh, values: np.ndarray, line: str):
         fh.write("".join(map(line.format, values[start : start + (1 << 12)].tolist())))
 
 
+def _write_digit_lines(fh, values: np.ndarray):
+    """What _write_lines(fh, values, "{}\\n") writes, for values in 0..9, built as bytes per 2^12 values."""
+    to_ascii = bytes.maketrans(bytes(range(10)), b"0123456789")
+    for start in range(0, values.size, 1 << 12):
+        digits = bytes(values[start : start + (1 << 12)].tolist()).translate(to_ascii)
+        chars = bytearray(2 * len(digits))
+        chars[0::2] = digits
+        chars[1::2] = b"\n" * len(digits)
+        fh.write(chars.decode("ascii"))
+
+
+def _read_digit_lines(text: str, size: int) -> np.ndarray | None:
+    """The values of a body of exactly size lines of one ASCII digit each, or None for any other body.
+
+    The line parser reads such a body to the same values.  It is decoded with bytes methods
+    because numpy's uint8 loops, paged in for this alone, would add about 0.2 MB to the peak
+    RSS of a run that reads only small colorings.
+    """
+    if len(text) != 2 * size or not text.isascii():
+        return None
+    digits = text[0::2].encode("ascii")
+    if text[1::2] != "\n" * size or digits.translate(None, b"0123456789"):
+        return None
+    values = bytearray(8 * size)  # little-endian int64s, one digit value in each low byte
+    values[0::8] = digits.translate(bytes.maketrans(b"0123456789", bytes(range(10))))
+    return np.frombuffer(values, dtype="<i8")
+
+
 def write_coloring(path, coloring: Coloring):
     with open(path, "w") as fh:
         fh.write(json.dumps({"p": coloring.space.p, "n": coloring.space.n, "r": coloring.r}, sort_keys=True) + "\n")
-        _write_lines(fh, coloring.values, "{}\n")
+        if coloring.r <= 9:
+            _write_digit_lines(fh, coloring.values)
+        else:
+            _write_lines(fh, coloring.values, "{}\n")
 
 
 def _read_values(fh, size: int, dtype, what: str) -> np.ndarray:
@@ -268,11 +303,15 @@ def read_coloring(path) -> Coloring:
         # every consumer builds one table per color, so r is bounded like |V|
         if r > cap:
             raise ValueError(f"coloring header r = {r} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
-        try:
-            values = _read_values(fh, space.size, np.int64, "colors")
-        except OverflowError:
-            # past int64 is past the capped r too
-            raise ValueError("colors must lie in 1..r") from None
+        body = fh.tell()
+        values = _read_digit_lines(fh.read(), space.size)
+        if values is None:
+            fh.seek(body)
+            try:
+                values = _read_values(fh, space.size, np.int64, "colors")
+            except OverflowError:
+                # past int64 is past the capped r too
+                raise ValueError("colors must lie in 1..r") from None
     return Coloring(space, r, values)
 
 

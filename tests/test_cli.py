@@ -121,6 +121,13 @@ def test_fourier_requires_exactly_one_source(workdir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["--coloring", "--table"])
+def test_fourier_with_an_empty_path_is_a_file_error(capsys, source):
+    code, out, err = run_cli(capsys, "fourier", source, "")
+    assert code == 1 and out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_regularize_and_model_reports(workdir, capsys):
     code, out, _ = run_cli(
         capsys, "regularize", "--coloring", str(workdir / "phi.json"), "--eps", "0.3"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from removal_lab.fourier import (
+    _walsh,
     batch_coset_norms,
     lambda_fourier,
     regularity_norm,
@@ -19,6 +20,87 @@ def naive_dft(f, space):
     w = np.exp(-2j * np.pi / space.p)
     table = w ** ((space.digits @ space.digits.T) % space.p)
     return table @ np.asarray(f, dtype=np.complex128) / space.size
+
+
+def fftn_coset_norms(values, space, sub, reps):
+    """batch_coset_norms by numpy's complex fftn over the coset axes, 64 cosets at a time."""
+    shape, size = (space.p,) * sub.dim, space.p**sub.dim
+    norms, wits = [], []
+    for start in range(0, len(reps), 64):
+        sel = np.asarray(reps[start : start + 64])
+        tables = np.asarray(values, dtype=np.float64)[space.coset_points(sel, sub)].reshape(sel.size, *shape)
+        mags = np.abs(np.fft.fftn(tables, axes=range(1, sub.dim + 1)).reshape(sel.size, -1) / size)
+        mags[:, 0] = -1.0
+        wits.append(np.argmax(mags, axis=1))
+        norms.append(mags[np.arange(sel.size), wits[-1]])
+    return np.concatenate(norms), np.concatenate(wits)
+
+
+def random_tables(rng, kind, shape):
+    if kind == "01":
+        return rng.integers(0, 2, shape).astype(np.float64)
+    if kind == "float":
+        return rng.uniform(-1e3, 1e3, shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_walsh_is_bit_equal_to_fftn(n):
+    rng = np.random.default_rng(n)
+    axes = range(1, n + 1)
+    for batch in (1, 3, 64):
+        for kind in ("01", "float", "complex"):
+            tables = random_tables(rng, kind, (batch, 2**n))
+            tensor = tables.reshape(batch, *(2,) * n)
+            got = _walsh(tables.copy())
+            forward = np.fft.fftn(tensor, axes=axes).reshape(batch, -1)
+            inverse = np.fft.ifftn(tensor, axes=axes).reshape(batch, -1) * 2**n
+            for ref in (forward, inverse):
+                if kind != "complex":
+                    assert not ref.imag.any()
+                    ref = ref.real
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (2, 11), (2, 14), (3, 1), (3, 6)])
+def test_transform_is_bit_equal_to_fftn(p, n):
+    sp = Space(p, n)
+    rng = np.random.default_rng(7 * p + n)
+    for kind in ("01", "float", "complex"):
+        f = random_tables(rng, kind, sp.size)
+        tensor = f.astype(np.complex128).reshape((p,) * n)
+        assert np.array_equal(transform(f, sp), (np.fft.fftn(tensor) / sp.size).reshape(-1))
+        assert np.array_equal(transform(f, sp, "inverse"), (np.fft.ifftn(tensor) * sp.size).reshape(-1))
+        # a complex128 table is transformed without a conversion copy, and must be left as it was
+        assert np.array_equal(f, tensor.reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "p,n,d,num_reps",
+    [(2, 8, 1, None), (2, 8, 4, None), (2, 8, 8, None), (2, 12, 6, None), (3, 5, 2, None), (3, 6, 4, None),
+     # 2^22 // 2^12 = 1024 reps per block, so 1027 reps drawn from 50 points take two blocks
+     (2, 14, 12, 1027)],
+)
+def test_batch_coset_norms_is_bit_equal_to_fftn(p, n, d, num_reps):
+    rng = np.random.default_rng(100 * p + 10 * n + d)
+    sp = Space(p, n)
+    for _ in range(10):
+        sub = Subspace.from_rows(p, n, rng.integers(0, p, (d, n)))
+        if sub.dim == d:
+            break
+    assert sub.dim == d
+    if num_reps is None:
+        pool = sp.transversal(sub)
+        picks = np.arange(pool.size)
+    else:
+        pool = rng.integers(0, sp.size, 50)
+        picks = rng.integers(0, pool.size, num_reps)
+    for kind in ("01", "float"):
+        f = random_tables(rng, kind, sp.size)
+        norms, wits = batch_coset_norms(f, sp, sub, pool[picks])
+        ref_norms, ref_wits = fftn_coset_norms(f, sp, sub, pool)
+        assert np.array_equal(norms, ref_norms[picks])
+        assert np.array_equal(wits, ref_wits[picks])
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (5, 3)])
@@ -49,6 +131,8 @@ def test_transform_validates_input():
         transform(np.zeros(5), sp)
     with pytest.raises(ValueError):
         transform(np.zeros(sp.size), sp, "sideways")
+    with pytest.raises(ValueError):
+        transform(np.zeros(4), Space(2, 2), "sideways")
 
 
 def test_constant_function_has_zero_regularity_norm():

@@ -183,3 +183,72 @@ def test_table_roundtrip_exact(tmp_path):
     vals, sp2 = read_table(path)
     assert sp2.p == 2 and sp2.n == 4
     assert np.array_equal(vals, table)  # repr round-trip is exact for float64
+
+
+# F_2^13 and F_3^8 take more than one 2^12-value block of the writer; r runs past one digit
+@given(st.sampled_from([(2, 0), (2, 3), (2, 13), (3, 2), (3, 8), (5, 1), (5, 4)]), st.integers(1, 12), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_coloring_file_round_trip_is_one_line_per_point(tmp_path_factory, pn, r, seed):
+    sp = Space(*pn)
+    p, n = pn
+    values = np.random.default_rng(seed).integers(1, r + 1, sp.size).tolist()
+    path = tmp_path_factory.mktemp("coloring") / "c.json"
+    write_coloring(path, Coloring(sp, r, np.array(values, dtype=np.int64)))
+    header = json.dumps({"p": p, "n": n, "r": r}, sort_keys=True) + "\n"
+    assert path.read_bytes() == (header + "".join(f"{v}\n" for v in values)).encode()
+    back = read_coloring(path)
+    assert back.space == sp and back.r == r
+    assert back.values.tolist() == values
+
+
+def _line_parsed_coloring(path) -> Coloring:
+    """read_coloring with the line parser on every body: one string per non-blank line."""
+    with open(path) as fh:
+        header = json.loads(fh.readline())
+        space = Space(header["p"], header["n"])
+        lines = [line for line in fh.read().split("\n") if line.strip()]
+        if len(lines) != space.size:
+            raise ValueError(f"expected {space.size} colors, found {len(lines)}")
+        return Coloring(space, header["r"], np.array(lines, dtype=np.int64))
+
+
+def _outcome(read, path):
+    try:
+        col = read(path)
+    except Exception as exc:  # the oracle's failure is the expected value
+        return type(exc), str(exc)
+    return col.r, col.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"1\n2\n1\n1\n",
+        b"1\n\n2\n1\n1\n",
+        b"\n1\n2\n1\n1\n",
+        b" 1\n2\n1\n1\n",
+        b"+1\n2\n1\n1\n",
+        b"01\n2\n1\n1\n",
+        b"1\r\n2\r\n1\r\n1\r\n",
+        b"1\n2\n1\n1",
+        b"1\n2\n1\n1\n2\n",
+        b"1\n2\n1\n",
+        b"0\n2\n1\n1\n",
+        b"3\n2\n1\n1\n",
+        b"a\n2\n1\n1\n",
+        b"1\n2\n1 1\n\n",
+        b"1\n2\n1\n1 ",
+        b"1\n2\n1x1\n",
+        b"1\n2\n\xd9\xa3\n1\n",
+    ],
+    ids=[
+        "canonical", "blank-line", "leading-blank-line", "leading-space", "plus-sign", "leading-zero", "crlf",
+        "no-final-newline", "extra-line", "missing-line", "color-zero", "color-above-r", "letter",
+        "two-colors-on-a-line", "trailing-space-for-newline", "letter-for-newline",
+        "arabic-indic-digit",
+    ],
+)
+def test_coloring_reader_agrees_with_the_line_parser(tmp_path, body):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'{"n": 2, "p": 2, "r": 2}\n' + body)
+    assert _outcome(read_coloring, path) == _outcome(_line_parsed_coloring, path)
