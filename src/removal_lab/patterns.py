@@ -37,8 +37,9 @@ signed residues, so entries are reduced only when the next step could
 overflow (at p = 2, never before the end).  C^perp is listed by the same
 kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
 Route: the dual when l < m and p <= 31, enumeration otherwise; both are
-exact, so the choice never changes a count, and either is refused past
-ENUMERATION_CAP before it starts.
+exact, so the choice never changes a count.  _route picks it from the shape
+(m, k) and the space alone and refuses its work past ENUMERATION_CAP, so
+generic_count refuses a Moebius sum before its first term, never part-way.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError, UnsupportedCharacteristicError
+from .errors import UnsupportedCharacteristicError
 from .fields import annihilator, check_prime, is_prime, null_space, rank, rowspace_basis, subspace_bases
-from .space import Space, capped_power, check_capped_prime, json_int
+from .space import Space, capped_power, check_cap, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
 # the dual route's residues are below 2^29, so a p-term int64 dot product of them is below p 2^58 < 2^63
@@ -163,6 +164,12 @@ def read_family(path) -> list[Pattern]:
 # --- solution enumeration -------------------------------------------------
 
 
+def _check_enumeration(m: int, space: Space) -> None:
+    """Refuse listing |V|^m tuples past ENUMERATION_CAP."""
+    total = capped_power(space.size, m)
+    check_cap(total, ENUMERATION_CAP, f"solution enumeration needs {total} tuples, cap is {ENUMERATION_CAP}")
+
+
 def iter_solution_chunks(basis: np.ndarray, space: Space) -> Iterator[np.ndarray]:
     """Yield (batch, k) arrays of point indices listing each t N, t in V^m, once.
 
@@ -174,11 +181,7 @@ def iter_solution_chunks(basis: np.ndarray, space: Space) -> Iterator[np.ndarray
     the low a digits, p^a <= 2^17 < p^(a+1), for max(1, 2^17 // p^a) settings of the rest.
     """
     m, k = basis.shape
-    total = capped_power(space.size, m)
-    if isinstance(total, str) or total > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"solution enumeration needs {total} tuples, cap is {ENUMERATION_CAP}", requested=total, cap=ENUMERATION_CAP
-        )
+    _check_enumeration(m, space)
     low = next(d for d in range(18) if space.p ** (d + 1) > 1 << 17)
     block = max(1, (1 << 17) // space.p**low)
     # images[i] = kron(N[:, i], I_n): row j*n + c is N[j, i] times unit vector c
@@ -279,14 +282,11 @@ def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]],
     """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
     basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
-    Each set holds k boolean tables of length |V|, one per variable.  The dual
-    route (see the module docstring) runs when l = k - m < m and p <=
-    DUAL_MAX_P, enumeration otherwise.  A |V|^m too long to print is refused
-    as enumeration refuses it.
+    Each set holds k boolean tables of length |V|, one per variable.  _route
+    picks the dual route (see the module docstring) or enumeration, and
+    refuses either past ENUMERATION_CAP before it starts.
     """
-    m, k = basis.shape
-    total = capped_power(space.size, m)
-    if k - m < m and space.p <= DUAL_MAX_P and not isinstance(total, str):
+    if _route(*basis.shape, space):
         return _dual_count(basis, table_sets, space)
     counts = [0] * len(table_sets)
     for xs in iter_solution_chunks(basis, space):
@@ -295,21 +295,31 @@ def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]],
     return counts
 
 
-def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
-    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
+def _route(m: int, k: int, space: Space) -> bool:
+    """Whether an (m, k) parametrization is counted on the dual route (l = k - m < m, p <= DUAL_MAX_P,
+    |V|^m short enough to print) rather than enumerated; either route's work is refused here past the cap."""
+    if k - m < m and space.p <= DUAL_MAX_P and not isinstance(capped_power(space.size, m), str):
+        _dual_moduli(m, k, space)
+        return True
+    _check_enumeration(m, space)
+    return False
 
-    Work, (primes used) x |V|^l products, is checked against ENUMERATION_CAP before it starts.
-    """
-    m, k = basis.shape
+
+def _dual_moduli(m: int, k: int, space: Space) -> list[tuple[int, int]]:
+    """The (q, omega) of the primes whose product first exceeds |V|^m; their work, (primes used) x |V|^l
+    products, l = k - m, is refused past ENUMERATION_CAP."""
     moduli, product = [], 1
     while product <= space.size**m:
         moduli.append(_modulus(space.p, len(moduli)))
         product *= moduli[-1][0]
     work = len(moduli) * space.size ** (k - m)
-    if work > ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"dual count needs {work} products, cap is {ENUMERATION_CAP}", requested=work, cap=ENUMERATION_CAP
-        )
+    check_cap(work, ENUMERATION_CAP, f"dual count needs {work} products, cap is {ENUMERATION_CAP}")
+    return moduli
+
+
+def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m."""
+    moduli = _dual_moduli(*basis.shape, space)
     rowspace = annihilator(basis, space.p)
     counts, modulus = [0] * len(table_sets), 1
     for q, omega in moduli:
@@ -450,16 +460,19 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     rank since B_U and N are, so it takes the dual route when k - dim U < dim U.
     For m > n no m points of V are independent, so the count is 0 at once.
 
-    Each term is refused past ENUMERATION_CAP like any other count, and it may
-    be refused where the main count was not: x1+...+x4 = 0 on F_2^14 has its
-    2^42 solutions counted on the dual code, but each dim-2 term needs 2^28
-    products by either route.
+    A term's route and refusal depend on its shape (dim U, k) alone, so the sum
+    is refused before its first term, with the report of the first refused term
+    in summation order.  A term may be refused where the main count was not:
+    x1+...+x4 = 0 on F_2^14 has its 2^42 solutions counted on the dual code,
+    but each dim-2 term needs 2^28 products by either route.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
     m = pattern.num_free
     if nonzero == 0 or m > space.n:
         return 0
+    for d in range(1, m):
+        _route(m - d, pattern.k, space)
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
     total = nonzero
     for d in range(1, m):

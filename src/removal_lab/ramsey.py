@@ -35,9 +35,10 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .errors import ResourceCapError, VerificationError
-from .patterns import ENUMERATION_CAP, Pattern, color_tables, count_matches, iter_solution_chunks
-from .space import Coloring, Space, capped_power
+from . import patterns
+from .errors import VerificationError
+from .patterns import Pattern, color_tables, count_matches, iter_solution_chunks
+from .space import Coloring, Space, capped_power, check_cap
 
 
 @lru_cache(maxsize=4)
@@ -165,7 +166,7 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     The chi budget charges each chi what a search enumerating that chi's
     coloring would spend, |V| plus the solution count of each member it tries.
     Sharing tables does not change that charge, which stays an upper bound on
-    the work done; once the chi tried cost over ENUMERATION_CAP,
+    the work done; once the chi tried cost over patterns.ENUMERATION_CAP,
     ResourceCapError.
     """
     family = list(family)
@@ -183,17 +184,15 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     space = Space(p, max(n, 1))
     cost = list(accumulate((space.size**h.num_free for h in family), initial=space.size))
     work = capped_power(r, p - 1, cost[-1])
-    over = ResourceCapError(f"the chi search needs up to {work} entries", requested=work, cap=ENUMERATION_CAP)
-    if r > ENUMERATION_CAP:  # product lists range(1, r + 1) before its first chi
-        raise over
+    over, cap = f"the chi search needs up to {work} entries", patterns.ENUMERATION_CAP
+    check_cap(r, cap, over, work)  # product lists range(1, r + 1) before its first chi
     spent = 0
     certificates: list[ChiCertificate] = []
     # a class table depends on the member's null basis alone, not on its psi
     keys = [(h.null_basis.tobytes(), h.null_basis.shape) for h in family]
     tables: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for chi in product(range(1, r + 1), repeat=p - 1):
-        if spent > ENUMERATION_CAP:
-            raise over
+        check_cap(spent, cap, over, work)
         color_of = np.array((1, *chi), dtype=np.int64)
         hit = None
         for idx, h in enumerate(family):

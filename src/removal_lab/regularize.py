@@ -380,7 +380,6 @@ def regular_model(
 @dataclass(frozen=True)
 class RecolorReport:
     coloring: Coloring
-    original: Coloring
     model: RegularModel
     eps: float
     eps_prime_final: float
@@ -487,7 +486,6 @@ def regularity_recolor(
         raise VerificationError("recoloring conclusions failed", evidence=conditions)
     return RecolorReport(
         coloring=recolored,
-        original=coloring,
         model=model,
         eps=eps,
         eps_prime_final=eps_prime_final,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CaseAAbort, ResourceCapError, VerificationError
+from .errors import CaseAAbort, VerificationError
 from .fields import Subspace, solve
 from .patterns import (
     Pattern,
@@ -30,7 +30,7 @@ from .patterns import (
 )
 from .ramsey import Dichotomy, canonical_coloring, decide_dichotomy
 from .regularize import RecolorReport, regularity_recolor
-from .space import Coloring, Space, capped_power
+from .space import Coloring, Space, capped_power, check_cap
 
 # inhomogeneous_reduce builds one Python Pattern per expansion and an
 # (r^|B|, |B|) int64 digit table, so its cap is sized for memory
@@ -41,7 +41,6 @@ REDUCE_CAP = 10**6
 @dataclass(frozen=True)
 class RemovalReport:
     coloring: Coloring
-    original: Coloring
     recolor: RecolorReport
     dichotomy: Dichotomy
     closure_size: int
@@ -183,7 +182,6 @@ def induced_removal(
     k_max = max(h.k for h in family)
     return RemovalReport(
         coloring=out,
-        original=phi,
         recolor=recolor,
         dichotomy=dichotomy,
         closure_size=len(closure),
@@ -216,7 +214,6 @@ class InhomReduction:
     tilde_basis: np.ndarray
     tilde_space: Space
     coloring: Coloring
-    pairs: tuple[tuple[Pattern, tuple[int, ...]], ...]
     expansions: tuple[tuple[ExpandedPattern, ...], ...]
 
     def lift_point(self, tilde_x: int, u: int) -> int:
@@ -294,9 +291,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
     tilde_space = Space(space.p, comp.dim)
 
     b_size = int(b_pts.size)
-    table = capped_power(r, b_size, b_size)
-    if isinstance(table, str) or table > REDUCE_CAP:
-        raise ResourceCapError("encoded color table exceeds the cap", requested=table, cap=REDUCE_CAP)
+    check_cap(capped_power(r, b_size, b_size), REDUCE_CAP, "encoded color table exceeds the cap")
     n_colors = r**b_size
     # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
     parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
@@ -305,8 +300,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
         0 if part is None else space.p ** (b_sub.dim * h.num_free) * r ** (h.k * (b_size - 1))
         for (h, _), part in zip(pairs, parts)
     ]
-    if sum(sizes) > REDUCE_CAP:
-        raise ResourceCapError("expansion count exceeds the cap", requested=sum(sizes), cap=REDUCE_CAP)
+    check_cap(sum(sizes), REDUCE_CAP, "expansion count exceeds the cap")
 
     # quotient coloring: little-endian base-r digits over the B-coset colors, row j at offset b_pts[j]
     colors = phi.values[space.coset_points(b_pts, comp)] - 1
@@ -333,7 +327,6 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
         tilde_basis=comp.basis,
         tilde_space=tilde_space,
         coloring=tilde_phi,
-        pairs=tuple(pairs),
         expansions=tuple(expansions),
     )
 

@@ -40,15 +40,19 @@ def capped_power(base: int, exp: int, factor: int = 1) -> int | str:
     return f"{base}^{exp}" if factor == 1 else f"{base}^{exp} * {factor}"
 
 
+def check_cap(amount: int | str, cap: int, message: str, requested: int | str | None = None) -> None:
+    """The one cap rule: raise ResourceCapError with message when amount exceeds cap or is capped_power's string.
+
+    The error reports requested, or amount when requested is None: the chi walk compares the
+    work spent so far but reports the bound on the whole walk."""
+    if isinstance(amount, str) or amount > cap:
+        raise ResourceCapError(message, requested=amount if requested is None else requested, cap=cap)
+
+
 def check_capped_prime(p: int) -> int:
     """check_prime, after refusing a p above the point cap: trial division grows with p."""
     cap = point_cap()
-    if p > cap:
-        raise ResourceCapError(
-            f"prime p = {p} exceeds the point cap {cap} (override with {CAP_ENV_VAR})",
-            requested=p,
-            cap=cap,
-        )
+    check_cap(p, cap, f"prime p = {p} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
     return check_prime(p)
 
 
@@ -81,13 +85,7 @@ class Space:
             raise ValueError("dimension must be >= 0")
         cap = point_cap()
         size = capped_power(p, n)
-        if isinstance(size, str) or size > cap:
-            raise ResourceCapError(
-                f"|F_{p}^{n}| = {size} exceeds the point cap {cap} "
-                f"(override with {CAP_ENV_VAR})",
-                requested=size,
-                cap=cap,
-            )
+        check_cap(size, cap, f"|F_{p}^{n}| = {size} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
         self.p = p
         self.n = n
         self.size = size

@@ -386,6 +386,23 @@ def test_stats_with_moebius_terms_past_the_cap_is_a_cap_report(workdir, capsys):
     assert evidence["requested"] == 2**28
 
 
+def test_stats_refuses_a_moebius_sum_before_its_first_term(workdir):
+    # x1+...+x9 = 0 on F_2^8: the dimension-7 and -6 terms fit the cap on the dual code, but the
+    # first dimension-5 term needs 2 primes x 2^32 products; counting the 11,050 terms before it
+    # would take hours, so the refusal must come before any term is counted
+    sp = Space(2, 8)
+    write_pattern(workdir / "sum9.json", Pattern(2, 2, [[1] * 9], (1,) * 9))
+    write_coloring(workdir / "c8.json", Coloring(sp, 2, np.random.default_rng(8).integers(1, 3, sp.size)))
+    start = time.perf_counter()
+    out = _run_subprocess(workdir, "stats", "--pattern", "sum9.json", "--coloring", "c8.json")
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 2
+    evidence = json.loads(out.stdout)
+    assert evidence["error"] == "ResourceCapError"
+    assert evidence["requested"] == 2 * 2**32
+    assert elapsed < 5.0
+
+
 def test_reduce_quotient_coloring(workdir, capsys):
     sp = Space(2, 3)
     rng = np.random.default_rng(9)

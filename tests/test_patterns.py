@@ -375,6 +375,28 @@ def test_generic_count_matches_rank_oracle(name, monkeypatch):
     assert sorted(routes) == sorted(u for u in dual_dims for _ in range(gaussian_binomial(m, u, p)))
 
 
+def test_moebius_sum_refused_before_its_first_term(monkeypatch):
+    # x1+...+x6 = 0 on F_2^9: the dimension-4 terms take the dual route, but each
+    # dimension-3 term would enumerate |V|^3 = 2^27 tuples, so the sum is refused up front
+    sp = Space(2, 9)
+    h = Pattern(2, 2, [[1] * 6], (1,) * 6)
+    col = Coloring(sp, 2, np.random.default_rng(9).integers(1, 3, sp.size))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    counted, count = [], patterns.count_matches
+
+    def spy(basis, table_sets, space):
+        counted.append(basis.shape[0])
+        return count(basis, table_sets, space)
+
+    monkeypatch.setattr(patterns, "count_matches", spy)
+    with pytest.raises(ResourceCapError) as exc:
+        generic_count(h, col, nonzero)
+    assert str(exc.value) == "solution enumeration needs 134217728 tuples, cap is 100000000"
+    assert exc.value.requested == 2**27
+    assert exc.value.cap == ENUMERATION_CAP
+    assert counted == []
+
+
 def test_stats_require_matching_field_and_colors():
     sp = Space(3, 2)
     col = Coloring(sp, 2, np.ones(sp.size, dtype=np.int64))

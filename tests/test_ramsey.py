@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from removal_lab import ramsey
+from removal_lab import patterns, ramsey
+from removal_lab.errors import ResourceCapError
 from removal_lab.fields import null_space
 from removal_lab.patterns import Pattern, first_instance, iter_solution_chunks, pattern_stats, subpattern_closure
 from removal_lab.ramsey import ChiCertificate, Dichotomy, _class_table, canonical_coloring, decide_dichotomy
@@ -135,6 +136,16 @@ def test_empty_family_is_case_b_at_once_past_the_chi_budget():
     out = decide_dichotomy([], p=29, r=2)
     assert out.case == "B"
     assert out.chi == (1,) * 28
+
+
+def test_chi_walk_reads_the_enumeration_cap_at_call_time(monkeypatch):
+    # each chi of x+y+z = 0 on F_3^3 costs 27 table entries plus 27^2 tuples per member tried,
+    # so under a cap of 1000 the walk stops at its third chi; the bound covers all 4 chi
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 1000)
+    with pytest.raises(ResourceCapError) as exc:
+        decide_dichotomy(mono_family(3, 2, [[1, 1, 1]], 3))
+    assert exc.value.requested == 4 * (27 + 2 * 27**2)
+    assert exc.value.cap == 1000
 
 
 def test_family_must_share_field_and_colors():
