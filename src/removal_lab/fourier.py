@@ -48,10 +48,10 @@ def transform(values: np.ndarray, space: Space, direction: str = "forward") -> n
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (space.size,):
         raise ValueError("table has wrong length")
-    if space.n == 0:
-        return v.copy()
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if space.n == 0:
+        return v.copy()
     if space.p == 2:
         out = _walsh(v.reshape(1, -1).copy())[0]  # _walsh overwrites its input, which may be values
         if direction == "forward":

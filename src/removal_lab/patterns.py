@@ -128,9 +128,11 @@ class Pattern:
             if not isinstance(d[key], list):
                 raise ValueError(f"pattern field {key!r} must be a list")
         p = check_capped_prime(json_int(d["p"], "pattern field 'p'"))
+        what = "pattern field 'rows' entry"
+        rows = [[json_int(v, what) for v in row] if isinstance(row, list) else json_int(row, what) for row in d["rows"]]
         try:
-            rows = np.asarray(d["rows"], dtype=np.int64)
-        except (TypeError, OverflowError):
+            rows = np.asarray(rows, dtype=np.int64)
+        except OverflowError:
             raise ValueError("pattern field 'rows' must hold rows of integers") from None
         psi = tuple(json_int(c, "pattern color") for c in d["psi"])
         return Pattern(p, json_int(d["r"], "pattern field 'r'"), rows, psi)

@@ -344,25 +344,22 @@ def regular_model(
 
     Runs strong_regularize and draws seeded uniform random complements U of
     V_1 until the verifier passes; retries up to 64 times and raises
-    RetryCapError with per-attempt stats if nothing verifies.
+    RetryCapError with per-attempt stats if nothing verifies.  With p^n eps < 4
+    the model is V_1 = V_2 = {0} without strong regularization: U = V passes on
+    attempt 1, v0 is kept as given, and the details report trivial_fallback.
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     fs = _check_tables(fs, space)
     k = len(fs)
     need = _min_codim_for(space, eps)
-    if need > space.n:
-        zero = Subspace.zero(space.p, space.n)
-        full = Subspace.full(space.p, space.n)
-        details = verify_model(fs, space, zero, zero, full, eps)
-        cosets = details.pop("cosets")
-        details["trivial_fallback"] = True
-        if not details["ok"]:
-            raise VerificationError("trivial model failed verification", evidence=details)
-        return RegularModel(v0, zero, zero, full, eps, seed, 1, details, cosets)
-    v0 = _shrink_to_codim(space, v0, need)
-    inner = strong_regularize(fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k)))
-    v1, v2 = inner.v1, inner.v2
+    trivial = need > space.n
+    if trivial:
+        v1 = v2 = Subspace.zero(space.p, space.n)
+    else:
+        v0 = _shrink_to_codim(space, v0, need)
+        inner = strong_regularize(fs, space, v0, eps**3 / 4, lambda c: min(eps, space.p ** (-c) / (2 * k)))
+        v1, v2 = inner.v1, inner.v2
     stats: list[dict] = []
     for attempt in range(_MODEL_ATTEMPTS):
         u = v1.complement(seed=_derived_seed(seed, attempt))
@@ -370,6 +367,8 @@ def regular_model(
         cosets = details.pop("cosets")
         stats.append({"attempt": attempt, **details})
         if details["ok"]:
+            if trivial:
+                details["trivial_fallback"] = True
             return RegularModel(v0, v1, v2, u, eps, seed, attempt + 1, details, cosets)
     raise RetryCapError("no random complement verified", attempts=_MODEL_ATTEMPTS, stats=stats)
 

@@ -159,6 +159,8 @@ def induced_removal(
         )
 
     values = phi1.values.copy()
+    # V_1 = {0} in most models the pipeline builds, and then the patch writes no point (pts[1:] is
+    # empty): the guard saves a coloring of Space(p, 0) and a slot in _lead_digits' 4-entry cache
     if v1.dim > 0:
         pts = space.subspace_points(v1)
         patch = canonical_coloring(Space(space.p, v1.dim), dichotomy.chi, phi.r)
@@ -239,17 +241,6 @@ def _offset_points(offsets, space: Space) -> np.ndarray:
     return np.array(pts, dtype=np.int64)
 
 
-def _particular_solution(rows, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One u in (F_p^d)^k with A u = b for b of shape (l, d), as a (k, d) matrix; None when inconsistent."""
-    u = np.zeros((rows.shape[1], b.shape[1]), dtype=np.int64)
-    for axis in range(b.shape[1]):
-        col = solve(rows, b[:, axis], p)
-        if col is None:
-            return None
-        u[:, axis] = col
-    return u
-
-
 def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, part: np.ndarray, space: Space) -> list[tuple[int, ...]]:
     """All u in B^k with A u = b, as tuples of point codes.
 
@@ -294,7 +285,7 @@ def inhomogeneous_reduce(phi: Coloring, pairs) -> InhomReduction:
     check_cap(capped_power(r, b_size, b_size), REDUCE_CAP, "encoded color table exceeds the cap")
     n_colors = r**b_size
     # the basis of B is in RREF, so a point's B-coordinates are its pivot coordinates
-    parts = [_particular_solution(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
+    parts = [solve(h.rows, space.decode(np.array(b))[:, b_sub.pivots()], space.p) for h, b in pairs]
     # |B|^(k - rank A) * r^(k(|B|-1)) expansions for a consistent offset system, none otherwise
     sizes = [
         0 if part is None else space.p ** (b_sub.dim * h.num_free) * r ** (h.k * (b_size - 1))
@@ -338,7 +329,7 @@ def count_inhomogeneous(phi: Coloring, pattern: Pattern, offsets) -> int:
     shifted once by u_i, and count_matches counts the solutions y it marks.
     """
     space = phi.space
-    part = _particular_solution(pattern.rows, space.decode(_offset_points(offsets, space)), space.p)
+    part = solve(pattern.rows, space.decode(_offset_points(offsets, space)), space.p)
     if part is None:
         return 0
     pts = np.arange(space.size)

@@ -57,13 +57,16 @@ def check_capped_prime(p: int) -> int:
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of a JSON input file; ValueError for a list, object or null."""
-    if not isinstance(value, (int, float, str)):
+    """An integer field of a JSON input file; ValueError for a boolean, fraction, list, object or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
     try:
-        return int(value)
+        number = int(value)
     except OverflowError:
         raise ValueError(f"{what} must be a finite integer") from None
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return number
 
 
 def _json_header(fh, keys: tuple[str, ...], what: str) -> dict[str, int]:
@@ -144,12 +147,13 @@ class Space:
         shifts = reps.reshape(-1, *(1,) * len(rows), 1) // self.powers
         pts = np.zeros((reps.size,) + (self.p,) * len(rows), dtype=np.int64)
         for c, column in enumerate(rows.T):
-            pts += (shifts[..., c] + _linear_form(self.p, column)) % self.p * self.p**c
+            pts += _linear_form(self.p, column, shifts[..., c]) * self.p**c
         return pts.reshape(*reps.shape, -1)
 
     def transversal(self, sub: Subspace) -> np.ndarray:
         """The points zero at every pivot of sub, ascending; entry i is the point of coset id i."""
         self._check_sub(sub)
+        # 3x-14x faster than image_points(0, eye(n)[free]) on F_2^12..16 and F_3^9: no mod, no full-size temporary
         reps = np.zeros(1, dtype=np.int64)
         for w in self.powers[sub.free_columns()]:
             reps = (np.arange(self.p, dtype=np.int64)[:, None] * w + reps).reshape(-1)
@@ -162,27 +166,25 @@ class Space:
         of x + sub that is zero at every pivot has free coordinates
         (x[F] - x[P] B[:, F]) mod p; ids[x] is their little-endian code, so ids
         range over [0, p^codim), are stable across calls, and
-        ids[transversal(sub)[i]] = i.
+        ids[transversal(sub)[i]] = i.  Points are in t-order over F_p^n, so ids
+        are the image_points in F_p^codim of the (n, codim) matrix of the forms.
         """
         self._check_sub(sub)
         free = sub.free_columns()
         # column j is the form x -> x[F_j] - x[P] B[:, F_j]
         forms = np.eye(self.n, dtype=np.int64)[:, free]
         forms[sub.pivots()] -= sub.basis[:, free]
-        ids = np.zeros((self.p,) * self.n, dtype=np.int64)
-        for j, form in enumerate(forms.T):
-            ids += _linear_form(self.p, form) * self.p**j
-        return ids.reshape(-1)
+        return Space(self.p, sub.codim).image_points(0, forms)
 
     def _check_sub(self, sub: Subspace):
         if (sub.p, sub.n) != (self.p, self.n):
             raise ValueError(f"subspace of F_{sub.p}^{sub.n} used in {self!r}")
 
 
-def _linear_form(p: int, coeffs):
-    """(sum_k coeffs[k] t_k) mod p over t in F_p^K, little-endian: t_0 on the last axis."""
+def _linear_form(p: int, coeffs, shift):
+    """(shift + sum_k coeffs[k] t_k) mod p over t in F_p^K, little-endian: t_0 on the last axis."""
     steps = np.arange(p, dtype=np.int64)
-    return sum((steps * int(a)).reshape(-1, *(1,) * k) for k, a in enumerate(coeffs) if a) % p
+    return sum(((steps * int(a)).reshape(-1, *(1,) * k) for k, a in enumerate(coeffs) if a), shift) % p
 
 
 def coset_restrict(values: np.ndarray, space: Space, rep: int, sub: Subspace) -> tuple[np.ndarray, Space]:
@@ -239,7 +241,7 @@ class Coloring:
 # coloring body is one ASCII digit and a newline per point, 2 p^n bytes;
 # _write_digit_lines and _read_digit_lines build and read that body with bytes
 # methods instead of a string per point, and read_coloring hands any other
-# body to the line parser.
+# body, as the text it has already read, to the line parser _read_values.
 
 
 def _write_lines(fh, values: np.ndarray, line: str):
@@ -285,9 +287,9 @@ def write_coloring(path, coloring: Coloring):
             _write_lines(fh, coloring.values, "{}\n")
 
 
-def _read_values(fh, size: int, dtype, what: str) -> np.ndarray:
-    """The rest of fh as size values, one per non-blank line; numpy parses each like int() or float()."""
-    lines = [line for line in fh.read().split("\n") if line.strip()]
+def _read_values(text: str, size: int, dtype, what: str) -> np.ndarray:
+    """text as size values, one per non-blank line; numpy parses each like int() or float()."""
+    lines = [line for line in text.split("\n") if line.strip()]
     if len(lines) != size:
         raise ValueError(f"expected {size} {what}, found {len(lines)}")
     return np.array(lines, dtype=dtype)
@@ -301,12 +303,11 @@ def read_coloring(path) -> Coloring:
         # every consumer builds one table per color, so r is bounded like |V|
         if r > cap:
             raise ValueError(f"coloring header r = {r} exceeds the point cap {cap} (override with {CAP_ENV_VAR})")
-        body = fh.tell()
-        values = _read_digit_lines(fh.read(), space.size)
+        body = fh.read()
+        values = _read_digit_lines(body, space.size)
         if values is None:
-            fh.seek(body)
             try:
-                values = _read_values(fh, space.size, np.int64, "colors")
+                values = _read_values(body, space.size, np.int64, "colors")
             except OverflowError:
                 # past int64 is past the capped r too
                 raise ValueError("colors must lie in 1..r") from None
@@ -326,7 +327,7 @@ def read_table(path) -> tuple[np.ndarray, Space]:
     with open(path) as fh:
         header = _json_header(fh, ("p", "n"), "table")
         space = Space(header["p"], header["n"])
-        vals = _read_values(fh, space.size, np.float64, "values")
+        vals = _read_values(fh.read(), space.size, np.float64, "values")
     if not np.isfinite(vals).all():
         raise ValueError("table values must be finite")
     return vals, space

@@ -546,12 +546,17 @@ def test_console_entry_point_runs():
         (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n-inf\n0.5\n'),
         (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1, "r": 2}\n1 2\n'),
         (["fourier", "--table"], "t.json", '{"p": 2, "n": 1}\n\n0.5 0.5\n\n'),
+        # JSON numbers that int() would truncate: a fraction or a boolean is not an integer
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1.5, 1, 1]], "psi": [1, 1, 1]}'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 2.7, "r": 2}\n1\n2\n1\n2\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": true, "r": 2}\n1\n2\n'),
     ],
     ids=[
         "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
         "rows-wider-than-psi", "color-past-int64", "two-colors-on-a-line", "nan-in-table", "inf-in-table",
         "color-outside-1-to-r", "last-color-below-int64", "r-above-point-cap", "minus-inf-in-table",
         "two-colors-on-the-only-line", "two-values-on-the-only-table-line",
+        "fraction-in-rows", "fractional-header-n", "boolean-header-n",
     ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):

@@ -75,6 +75,19 @@ def test_solve_consistent_and_inconsistent():
     # b outside the column space
     bad = np.array([[1, 1], [2, 2]], dtype=np.int64)
     assert solve(bad, np.array([1, 3]), p) is None
+    # an (l, d) right-hand side: one solution column per column of B
+    xs = np.array([[3, 0, 4], [1, 1, 0], [2, 4, 1]], dtype=np.int64)
+    got = solve(a, a @ xs % p, p)
+    assert got.shape == (3, 3)
+    assert np.array_equal(a @ got % p, a @ xs % p)
+    for j in range(3):
+        assert np.array_equal(got[:, j], solve(a, a @ xs[:, j] % p, p))
+    # one inconsistent column makes the whole system inconsistent
+    assert solve(bad, np.array([[2, 1, 0], [4, 3, 0]]), p) is None
+    # l = 0 rows: everything solves, by zero
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert np.array_equal(solve(empty, np.zeros((0, 2), dtype=np.int64), p), np.zeros((3, 2)))
+    assert np.array_equal(solve(empty, np.zeros(0, dtype=np.int64), p), np.zeros(3))
 
 
 def test_null_space_special_solution_layout():

@@ -133,6 +133,8 @@ def test_transform_validates_input():
         transform(np.zeros(sp.size), sp, "sideways")
     with pytest.raises(ValueError):
         transform(np.zeros(4), Space(2, 2), "sideways")
+    with pytest.raises(ValueError):
+        transform(np.ones(1), Space(2, 0), "bogus")
 
 
 def test_constant_function_has_zero_regularity_norm():

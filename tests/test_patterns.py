@@ -600,6 +600,16 @@ def test_pattern_file_roundtrip(tmp_path):
     assert back == fam
 
 
+def test_integral_json_numbers_load_and_fractions_do_not():
+    # a JSON number with zero fraction is an integer; a fraction or a boolean is refused, not truncated
+    h = Pattern.from_dict({"p": 5.0, "r": 1, "rows": [[1.0, 1, 1]], "psi": [1, 1, 1]})
+    assert h == Pattern(5, 1, [[1, 1, 1]], (1, 1, 1))
+    assert Pattern.from_dict({"p": 5, "r": 1, "rows": [], "psi": [1, 1]}).rows.shape == (0, 2)
+    for rows in ([[True, 1, 1]], [[1, 1, 1], 2.5]):
+        with pytest.raises(ValueError):
+            Pattern.from_dict({"p": 5, "r": 1, "rows": rows, "psi": [1, 1, 1]})
+
+
 def test_family_file_must_be_a_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"p": 5}\n')

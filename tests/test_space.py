@@ -252,3 +252,10 @@ def test_coloring_reader_agrees_with_the_line_parser(tmp_path, body):
     path = tmp_path / "c.json"
     path.write_bytes(b'{"n": 2, "p": 2, "r": 2}\n' + body)
     assert _outcome(read_coloring, path) == _outcome(_line_parsed_coloring, path)
+
+
+def test_coloring_header_takes_an_integral_float(tmp_path):
+    # a fraction or a boolean is refused (test_malformed_json_exits_one); a number with zero fraction is not
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 2.0, "p": 2, "r": 2}\n1\n2\n1\n1\n')
+    assert read_coloring(path).space == Space(2, 2)
