@@ -36,10 +36,18 @@ under p q^2 < 2^63, so int64 never overflows, and the roots are kept as
 signed residues, so entries are reduced only when the next step could
 overflow (at p = 2, never before the end).  C^perp is listed by the same
 kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
-Route: the dual when l < m and p <= 31, enumeration otherwise; both are
-exact, so the choice never changes a count.  _route picks it from the shape
-(m, k) and the space alone and refuses its work past ENUMERATION_CAP, so
-generic_count refuses a Moebius sum before its first term, never part-way.
+
+Before routing, count_matches merges columns: a zero column of N fixes x_i = 0
+and a column c times an earlier one fixes x_j = c x_i, so each folds into the
+tables (a set with x_i = 0 unmatched counts 0) and leaves N with k' <= k
+pairwise independent columns.  A forced equality (x1 = x4 in x1+x2+x3 = 0,
+x2+x3+x4 = 0) or a Moebius term with fewer directions than columns is thus
+counted on k' forms.  Route: the dual when l' = k' - m < m and p <= 31,
+enumeration otherwise; both are exact, so the choice never changes a count.
+_route picks it from the merged shape (m, k') and the space alone and refuses
+its work past ENUMERATION_CAP, and generic_count checks every merged shape a
+term can have, so it refuses a Moebius sum before its first term, never
+part-way.
 """
 
 from __future__ import annotations
@@ -284,17 +292,70 @@ def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]],
     """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
     basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
-    Each set holds k boolean tables of length |V|, one per variable.  _route
-    picks the dual route (see the module docstring) or enumeration, and
-    refuses either past ENUMERATION_CAP before it starts.
+    Each set holds k boolean tables of length |V|, one per variable.  First
+    _merge_columns folds the zero and parallel columns of N into the tables;
+    then _route reads the merged shape (m, k'), picks the dual route (see the
+    module docstring) or enumeration, and refuses either past ENUMERATION_CAP
+    before it starts.  A set that the merge finds dead counts 0 unrouted.
     """
+    basis, merged = _merge_columns(basis, table_sets, space)
+    live = [tables for tables in merged if tables is not None]
+    if not live:
+        return [0] * len(merged)
     if _route(*basis.shape, space):
-        return _dual_count(basis, table_sets, space)
-    counts = [0] * len(table_sets)
-    for xs in iter_solution_chunks(basis, space):
-        for j, tables in enumerate(table_sets):
-            counts[j] += int(np.count_nonzero(_hits(tables, xs)))
-    return counts
+        counts = _dual_count(basis, live, space)
+    else:
+        counts = [0] * len(live)
+        for xs in iter_solution_chunks(basis, space):
+            for j, tables in enumerate(live):
+                counts[j] += int(np.count_nonzero(_hits(tables, xs)))
+    live_counts = iter(counts)
+    return [0 if tables is None else next(live_counts) for tables in merged]
+
+
+def _merge_columns(
+    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space
+) -> tuple[np.ndarray, list]:
+    """basis without its zero and parallel columns, and each table set folded to match, None if it counts 0.
+
+    A zero column j fixes x_j = 0: a set whose tables[j][0] is false counts 0, any other drops
+    table j.  A column j = c column i, i the first column of its direction, fixes x_j = c x_i:
+    table i becomes table_i & table_j[c y].  The column span, so full row rank, and the product
+    of the 0/1 tables are unchanged, so every count is too.  With nothing to fold, or m = 0,
+    the inputs come back as they are.
+    """
+    if not basis.shape[0]:
+        return basis, table_sets
+    p = space.p
+    first: dict[tuple, tuple[int, int]] = {}  # a column scaled to lead entry 1 -> (its first column, lead)
+    folds = []  # (j, i, c): column j is c times column i; i is None for a zero column
+    for j, column in enumerate(basis.T.tolist()):
+        lead = next((v for v in column if v), 0)
+        if not lead:
+            folds.append((j, None, 0))
+            continue
+        inverse = pow(lead, -1, p)
+        i, lead_i = first.setdefault(tuple(v * inverse % p for v in column), (j, lead))
+        if i != j:
+            folds.append((j, i, lead * pow(lead_i, -1, p) % p))
+    if not folds:
+        return basis, table_sets
+    dropped = {j for j, _, _ in folds}
+    keep = [j for j in range(basis.shape[1]) if j not in dropped]
+    scaled: dict[int, np.ndarray] = {}  # c -> the points c y, y in index order
+    merged = []
+    for tables in table_sets:
+        if any(i is None and not tables[j][0] for j, i, _ in folds):
+            merged.append(None)
+            continue
+        tables = list(tables)
+        for j, i, c in folds:
+            if i is not None:
+                if c != 1 and c not in scaled:
+                    scaled[c] = space.scale_points(c, np.arange(space.size))
+                tables[i] = tables[i] & (tables[j] if c == 1 else tables[j][scaled[c]])
+        merged.append([tables[i] for i in keep])
+    return basis[:, keep], merged
 
 
 def _route(m: int, k: int, space: Space) -> bool:
@@ -462,19 +523,25 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     rank since B_U and N are, so it takes the dual route when k - dim U < dim U.
     For m > n no m points of V are independent, so the count is 0 at once.
 
-    A term's route and refusal depend on its shape (dim U, k) alone, so the sum
-    is refused before its first term, with the report of the first refused term
-    in summation order.  A term may be refused where the main count was not:
-    x1+...+x4 = 0 on F_2^14 has its 2^42 solutions counted on the dual code,
-    but each dim-2 term needs 2^28 products by either route.
+    A term is counted on its merged shape (dim U, k'): count_matches folds its
+    zero and parallel columns first, and since the tables clear entry 0, a term
+    with a zero column counts 0 unrouted.  Its k' distinct directions in
+    F_p^(dim U) number at most min(k, (p^dim U - 1)/(p - 1)), so checking the
+    route of every such shape refuses the sum before its first term, with the
+    report of the first refused shape in summation order.  A term may be
+    refused where the main count was not: x1+...+x4 = 0 on F_5^6 has its 5^18
+    solutions counted on the dual code, but a dim-2 term with 4 pairwise
+    independent columns needs 5^12 tuples by either route.  Over F_2 the same
+    equation answers on F_2^14, as a dim-2 term keeps at most 3 columns.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
-    m = pattern.num_free
+    m, k = pattern.num_free, pattern.k
     if nonzero == 0 or m > space.n:
         return 0
-    for d in range(1, m):
-        _route(m - d, pattern.k, space)
+    for u in range(m - 1, 0, -1):
+        for merged_k in range(min(k, (p**u - 1) // (p - 1)), u - 1, -1):
+            _route(u, merged_k, space)
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
     total = nonzero
     for d in range(1, m):

@@ -57,8 +57,10 @@ def check_capped_prime(p: int) -> int:
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of a JSON input file; ValueError for a boolean, fraction, list, object or null."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    """An integer field of a JSON input file; ValueError for a boolean, fraction, string, list, object or null.
+
+    A string is refused, not parsed: int() would read " 1_0 " as 10 and an Arabic-Indic digit as its value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
     try:
         number = int(value)

@@ -372,18 +372,40 @@ def test_stats_of_a_five_term_sum_counts_its_moebius_terms_on_the_dual_code(work
 
 
 def test_stats_with_moebius_terms_past_the_cap_is_a_cap_report(workdir, capsys):
-    # x1+...+x4 = 0 on F_2^14: the 2^42 solutions are counted on the dual code, but each
-    # dimension-2 Moebius term has a 2-dimensional dual, so either route needs |V|^2 = 2^28
-    sp = Space(2, 14)
-    write_pattern(workdir / "sum4.json", Pattern(2, 2, [[1] * 4], (1,) * 4))
-    write_coloring(workdir / "c14.json", Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size)))
+    # x1+...+x4 = 0 on F_5^6: the 5^18 solutions are counted on the dual code, but a dimension-2
+    # Moebius term can keep 4 pairwise independent columns, a 2-dimensional dual, so either
+    # route needs |V|^2 = 5^12 and the sum is refused
+    sp = Space(5, 6)
+    write_pattern(workdir / "sum4.json", Pattern(5, 2, [[1] * 4], (1,) * 4))
+    write_coloring(workdir / "c6.json", Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size)))
     code, out, _ = run_cli(
-        capsys, "stats", "--pattern", str(workdir / "sum4.json"), "--coloring", str(workdir / "c14.json")
+        capsys, "stats", "--pattern", str(workdir / "sum4.json"), "--coloring", str(workdir / "c6.json")
     )
     assert code == 2
     evidence = json.loads(out)
     assert evidence["error"] == "ResourceCapError"
-    assert evidence["requested"] == 2**28
+    assert evidence["requested"] == 5**12
+
+
+@pytest.mark.parametrize(
+    "p, n, rows",
+    [(2, 14, [[1, 1, 1, 1]]), (3, 8, [[1, 1, 1, 1]]), (5, 6, [[1, 1, 1, 0], [0, 1, 1, 1]])],
+    ids=["sum4-F2^14", "sum4-F3^8", "pair4-F5^6"],
+)
+def test_stats_counts_moebius_terms_on_merged_columns(workdir, capsys, p, n, rows):
+    # over F_2 a dimension-2 term has at most 3 distinct nonzero columns, and PAIR4 forces x1 = x4;
+    # counted on their merged columns, these sums fit the cap and answer quickly
+    sp = Space(p, n)
+    k = len(rows[0])
+    write_pattern(workdir / "h.json", Pattern(p, 2, rows, (1,) * k))
+    write_coloring(workdir / "c.json", Coloring(sp, 2, np.random.default_rng(n).integers(1, 3, sp.size)))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stats", "--pattern", str(workdir / "h.json"), "--coloring", str(workdir / "c.json"))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(out)
+    assert 0 < report["generic_instances"] < report["nonzero_instances"] <= report["instances"]
+    assert elapsed < 2.0
 
 
 def test_stats_refuses_a_moebius_sum_before_its_first_term(workdir):
@@ -550,6 +572,13 @@ def test_console_entry_point_runs():
         (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1.5, 1, 1]], "psi": [1, 1, 1]}'),
         (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 2.7, "r": 2}\n1\n2\n1\n2\n'),
         (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": true, "r": 2}\n1\n2\n'),
+        # a JSON string is not an integer, even where int() would parse it
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": "\u0663", "r": 2}\n' + "1\n" * 8),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": " 1_0 ", "r": 2}\n' + "1\n" * 1024),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": "2", "r": 2, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}'),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1, "1", 1]], "psi": [1, 1, 1]}'),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1, 1, 1]], "psi": [1, "2", 1]}'),
+        (["dichotomy", "--family"], "fam.json", '[{"p": 5, "r": "1", "rows": [[1, 1, 1]], "psi": [1, 1, 1]}]\n'),
     ],
     ids=[
         "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
@@ -557,6 +586,8 @@ def test_console_entry_point_runs():
         "color-outside-1-to-r", "last-color-below-int64", "r-above-point-cap", "minus-inf-in-table",
         "two-colors-on-the-only-line", "two-values-on-the-only-table-line",
         "fraction-in-rows", "fractional-header-n", "boolean-header-n",
+        "arabic-indic-digit-header-n", "underscored-string-header-n", "string-pattern-p", "string-in-rows",
+        "string-in-psi", "string-family-r",
     ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):

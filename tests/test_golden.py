@@ -42,6 +42,11 @@ def write_inputs(tmp_path):
     write_pattern(tmp_path / "sum5.json", Pattern(2, 2, [[1, 1, 1, 1, 1]], (1,) * 5))
     write_coloring(tmp_path / "rand3f4.json", Coloring(Space(3, 4), 3, rng.integers(1, 4, 81).astype(np.int64)))
     write_pattern(tmp_path / "chain5.json", Pattern(3, 3, [[1, 1, 1, 0, 0], [0, 0, 1, 1, 1]], (1, 2, 1, 2, 1)))
+    # x1+...+x4 = 0, whose Moebius terms have zero and parallel columns, over F_2^10 and F_3^6
+    for p, n in ((2, 10), (3, 6)):
+        sp = Space(p, n)
+        write_coloring(tmp_path / f"rand{p}f{n}.json", Coloring(sp, 2, np.random.default_rng(9).integers(1, 3, sp.size)))
+        write_pattern(tmp_path / f"sum4f{p}.json", Pattern(p, 2, [[1, 1, 1, 1]], (1,) * 4))
     # x + y + z = 0 over F_2 keeps a monochromatic instance after the patch, so remove refuses
     write_family(tmp_path / "sum3f2.json", [Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))])
 
@@ -65,6 +70,8 @@ RUNS = {
     ),
     "stats_chain5_f3": (0, ["stats", "--pattern", "chain5.json", "--coloring", "rand3f4.json"]),
     "stats_sum5_f2": (0, ["stats", "--pattern", "sum5.json", "--coloring", "rand2f4.json"]),
+    "stats_sum4_f2": (0, ["stats", "--pattern", "sum4f2.json", "--coloring", "rand2f10.json"]),
+    "stats_sum4_f3": (0, ["stats", "--pattern", "sum4f3.json", "--coloring", "rand3f6.json"]),
     "remove_case_a": (
         2,
         ["remove", "--family", "mono3.json", "--coloring", "rand3.json", "--eps", "0.7", "--eps-rado", "1.5"],

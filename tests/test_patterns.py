@@ -260,16 +260,32 @@ def test_dual_count_work_is_capped(monkeypatch):
 
 
 def _spy_dual_routes(monkeypatch):
-    """The m of every parametrization that count_matches sends to the dual route, in call order."""
+    """The shape (m, k') of every merged parametrization that count_matches sends to the dual route, in call order."""
     routes = []
     dual_count = patterns._dual_count
 
     def spy(basis, table_sets, space):
-        routes.append(basis.shape[0])
+        routes.append(basis.shape)
         return dual_count(basis, table_sets, space)
 
     monkeypatch.setattr(patterns, "_dual_count", spy)
     return routes
+
+
+def _merged_dual_route(term, table_sets, sp):
+    """The shape (m, k') that count_matches should route to the dual code for term, or None.
+
+    k' counts the distinct directions of the nonzero columns, two columns being one
+    direction when together they have rank 1; the term is unrouted when each set has
+    a zero column whose table is false at 0, and enumerated when k' - m >= m.
+    """
+    m = term.shape[0]
+    zero = [j for j in range(term.shape[1]) if not term[:, j].any()]
+    if all(any(not tables[j][0] for j in zero) for tables in table_sets):
+        return None
+    cols = [term[:, j] for j in range(term.shape[1]) if term[:, j].any()]
+    directions = sum(all(rank(np.stack([c, d]), sp.p) == 2 for d in cols[:i]) for i, c in enumerate(cols))
+    return (m, directions) if directions - m < m else None
 
 
 def _mask_count(basis, tables, sp):
@@ -285,8 +301,8 @@ def _mask_count(basis, tables, sp):
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1)])
 def test_count_matches_on_moebius_terms(p, n, monkeypatch):
-    # every B_U N of a 5-term equation (m = 4), none of them a pattern's null basis:
-    # dim U = 3 has a 2-dimensional dual and takes the dual route, dim U <= 2 enumerates
+    # every B_U N of a 5-term equation (m = 4), none of them a pattern's null basis: each is
+    # routed on its merged shape, so a dim U = 2 term with 3 directions takes the dual route too
     routes = _spy_dual_routes(monkeypatch)
     sp = Space(p, n)
     rng = np.random.default_rng([p, n])
@@ -294,13 +310,84 @@ def test_count_matches_on_moebius_terms(p, n, monkeypatch):
     psi = tuple(int(c) for c in rng.integers(1, 3, 5))
     col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
     table_sets = [color_tables(col, psi), color_tables(col, psi, require_nonzero=True)]
-    dims = []
+    expected = []
     for dim in (1, 2, 3):
         for b in subspace_bases(4, dim, p):
             term = b @ basis % p
             assert count_matches(term, table_sets, sp) == [_mask_count(term, tables, sp) for tables in table_sets]
-            dims.append(dim)
-    assert routes == [dim for dim in dims if dim == 3]
+            expected.append(_merged_dual_route(term, table_sets, sp))
+    assert routes == [shape for shape in expected if shape is not None]
+
+
+@st.composite
+def folded_bases(draw):
+    """(basis, table_sets, space): a full-row-rank basis with forced zero and parallel columns.
+
+    The basis holds the m unit columns, up to two random columns and one to three forced
+    ones (a zero column, or c times an earlier column with c != 1 at odd p), shuffled.
+    Each of one to three table sets holds tables true at about 3/4 of the points; some
+    sets have entry 0 cleared, as in pattern_stats's second set.
+    """
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+    sp = Space(p, n)
+    m = draw(st.integers(1, 3))
+    columns = np.eye(m, dtype=np.int64).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        columns.append(draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m)))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            columns.append([0] * m)
+        else:
+            source = columns[draw(st.integers(0, len(columns) - 1))]
+            c = draw(st.integers(2, p - 1)) if p > 2 else 1
+            columns.append([c * v % p for v in source])
+    order = draw(st.permutations(range(len(columns))))
+    basis = np.array([columns[j] for j in order], dtype=np.int64).T
+    table_sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        marks = draw(st.lists(st.integers(0, 3), min_size=basis.shape[1] * sp.size, max_size=basis.shape[1] * sp.size))
+        tables = list(np.array(marks).reshape(basis.shape[1], sp.size) != 0)
+        if draw(st.booleans()):
+            for table in tables:
+                table[0] = False
+        table_sets.append(tables)
+    return basis, table_sets, sp
+
+
+@given(folded_bases())
+@settings(max_examples=150, deadline=None)
+def test_column_merge_keeps_every_count(case):
+    basis, table_sets, sp = case
+    assert rank(basis, sp.p) == basis.shape[0]
+    assert count_matches(basis, table_sets, sp) == [_mask_count(basis, tables, sp) for tables in table_sets]
+
+
+def test_column_merge_edge_cases(monkeypatch):
+    sp = Space(5, 1)
+    full = [np.ones(sp.size, dtype=bool)] * 4
+    # a (0, k) basis lists only x = 0, so a set counts 1 exactly when each table holds 0
+    no_zero = [full[0], full[1], np.arange(sp.size) != 0]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert count_matches(empty, [full[:3], no_zero], sp) == [1, 0] == [_mask_count(empty, t, sp) for t in (full[:3], no_zero)]
+    # x = (t, 2t, 3t, 4t): every column folds into the first, so one form is counted on the dual code
+    routes = _spy_dual_routes(monkeypatch)
+    line = np.array([[1, 2, 3, 4]], dtype=np.int64)
+    tables = [np.isin(np.arange(sp.size), keep) for keep in ((0, 1, 2, 4), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 3))]
+    assert count_matches(line, [tables, full], sp) == [_mask_count(line, t, sp) for t in (tables, full)] == [2, 5]
+    assert routes == [(1, 1)]
+    # a zero column clears exactly the sets whose table for it is false at 0
+    sp = Space(3, 2)
+    basis = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int64)
+    rng = np.random.default_rng(3)
+    held = [rng.random(sp.size) < 0.7 for _ in range(3)]
+    held[1][0] = True
+    cleared = [held[0], np.arange(sp.size) != 0, held[2]]
+    counts = count_matches(basis, [held, cleared, held], sp)
+    assert counts == [_mask_count(basis, t, sp) for t in (held, cleared, held)]
+    assert counts[0] == counts[2] > 0 == counts[1]
+    # a call whose every set is cleared returns before routing
+    monkeypatch.setattr(patterns, "_route", None)  # calling it would fail the test
+    assert count_matches(basis, [cleared, cleared], sp) == [0, 0]
 
 
 # --- stats ------------------------------------------------------------------
@@ -369,10 +456,11 @@ def test_generic_count_matches_rank_oracle(name, monkeypatch):
         assert 0 < expect < nonzero
     routes = _spy_dual_routes(monkeypatch)
     assert generic_count(h, col, nonzero) == expect
-    # a Moebius term of dimension u takes the dual route exactly when k - u < u
+    # a Moebius term takes the dual route exactly when its merged shape (u, k') has k' - u < u
     m = h.num_free
-    dual_dims = [u for u in range(1, m) if k - u < u] if m <= n else []
-    assert sorted(routes) == sorted(u for u in dual_dims for _ in range(gaussian_binomial(m, u, p)))
+    terms = [b @ h.null_basis % p for u in range(1, m) for b in subspace_bases(m, u, p)] if m <= n else []
+    shapes = [_merged_dual_route(term, [tables], sp) for term in terms]
+    assert sorted(routes) == sorted(shape for shape in shapes if shape is not None)
 
 
 def test_moebius_sum_refused_before_its_first_term(monkeypatch):
