@@ -302,8 +302,9 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     worst_gap = 0.0
     bad = np.zeros(u_pts.size, dtype=bool)
     for f in fs:
-        m1 = np.bincount(ids1, weights=f) / np.bincount(ids1)
-        m2 = np.bincount(ids2, weights=f) / np.bincount(ids2)
+        # every coset of V_i holds p^dim(V_i) points: the divisor np.bincount(ids_i) would give, as one scalar
+        m1 = np.bincount(ids1, weights=f) / space.p**v1.dim
+        m2 = np.bincount(ids2, weights=f) / space.p**v2.dim
         gap = np.abs(m1[ids1[u_pts]] - m2[ids2[u_pts]])
         worst_gap = max(worst_gap, float(gap.max()))
         bad |= gap > eps + FLOAT_TOL
@@ -424,7 +425,6 @@ def regularity_recolor(
         raise ValueError("eps must lie in (0, 1]")
     space = coloring.space
     r = coloring.r
-    fs = coloring.indicators()
     d0 = math.ceil(1 / eps)
     if d0 > space.n:
         raise SpaceExhaustedError(
@@ -438,7 +438,9 @@ def regularity_recolor(
         eps2 = min(eps / (4 * r), float(eps_seq(d)))
         # v0 = {x : x_0 = ... = x_{d-1} = 0}, the last n - d rows of the full space's basis
         v0 = _shrink_to_codim(space, Subspace.full(space.p, space.n), d)
-        model = regular_model(fs, space, v0, eps2, seed=seed)
+        # the r indicator tables are built per pass and freed with it: alive in the repaint below,
+        # they would be r |V|-point float tables on top of its peak memory
+        model = regular_model(coloring.indicators(), space, v0, eps2, seed=seed)
         d_new = model.v1.codim
         if eps2 <= float(eps_seq(d_new)):
             eps_prime_final = float(eps_seq(d_new))
@@ -470,7 +472,7 @@ def regularity_recolor(
     # conclusion (2): every surviving color is dense in the V_2-coset, exactly
     cond2 = bool((counts[central, recolored.values] >= need).all())
     # conclusion (3): regularity of the *original* indicators on x + V_2, x != 0,
-    # as verify_model measured it for this model from the same fs, V_2 and U
+    # as verify_model measured it for this model from the same indicators, V_2 and U
     max_norm = model.details["max_restriction_norm"]
     cond1 = d0 <= v1.codim <= v2.codim
     cond3 = max_norm <= eps_prime_final + FLOAT_TOL

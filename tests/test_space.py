@@ -134,6 +134,76 @@ def test_coset_ids_match_the_membership_oracle(p, n):
         assert np.array_equal(rows, np.stack([sp.coset_points(int(x), sub) for x in reps]))
 
 
+def grid_sum_points(n: int, rep, rows) -> np.ndarray:
+    """The p = 2 oracle: rep + t rows mod 2 on coordinates, t over F_2^d with t_0 least significant."""
+    d = len(rows)
+    t = np.arange(2**d)[:, None] >> np.arange(d) & 1
+    reps = np.asarray(rep, dtype=np.int64)
+    rep_coords = reps[..., None] >> np.arange(n) & 1
+    coords = (rep_coords[..., None, :] + t @ rows) % 2
+    return coords @ (1 << np.arange(n))
+
+
+class TestImagePointsAtTwo:
+    def test_rows_with_negative_and_large_entries(self):
+        sp = Space(2, 6)
+        rng = np.random.default_rng(21)
+        for d in range(5):
+            rows = rng.integers(-4, 6, (d, 6))
+            assert ((rows < 0) | (rows >= 2)).any() or d == 0
+            for rep in (0, 45, sp.size - 1):
+                assert np.array_equal(sp.image_points(rep, rows), grid_sum_points(6, rep, rows))
+
+    def test_no_rows_lists_the_reps(self):
+        sp = Space(2, 5)
+        rows = np.zeros((0, 5), dtype=np.int64)
+        assert sp.image_points(9, rows).tolist() == [9]
+        assert sp.image_points(np.array([3, 7]), rows).tolist() == [[3], [7]]
+
+    def test_rep_shapes(self):
+        sp = Space(2, 5)
+        rows = np.array([[1, -1, 0, 2, 1], [3, 0, 1, 1, -2], [0, 0, 0, 0, 1]])
+        reps = np.array([[0, 31, 6], [17, 2, 9]])
+        for rep in (11, np.int64(11), reps[0], reps):
+            got = sp.image_points(rep, rows)
+            assert got.shape == np.shape(rep) + (8,)
+            assert np.array_equal(got, grid_sum_points(5, rep, rows))
+
+    def test_coset_id_forms(self):
+        sp = Space(2, 7)
+        rng = np.random.default_rng(8)
+        for k in range(8):
+            sub = Subspace.from_rows(2, 7, rng.integers(0, 2, (k, 7)))
+            free = sub.free_columns()
+            forms = np.eye(7, dtype=np.int64)[:, free]
+            forms[sub.pivots()] -= sub.basis[:, free]  # -1 entries, as coset_ids builds them
+            ids = Space(2, sub.codim).image_points(0, forms)
+            assert np.array_equal(ids, grid_sum_points(sub.codim, 0, forms))
+            assert np.array_equal(ids, sp.coset_ids(sub))
+
+    @given(st.integers(0, 10), st.integers(0, 12), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_grid_sum(self, d, n, seed):
+        sp = Space(2, n)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-3, 4, (d, n))
+        reps = rng.integers(0, sp.size, 3)
+        assert np.array_equal(sp.image_points(reps, rows), grid_sum_points(n, reps, rows))
+
+    def test_fills_one_buffer(self):
+        sp = Space(2, 16)
+        rng = np.random.default_rng(3)
+        reps, rows = rng.integers(0, sp.size, 16), rng.integers(0, 2, (12, 16))
+        tracemalloc.start()
+        try:
+            pts = sp.image_points(reps, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pts.nbytes + (64 << 10)
+        assert np.array_equal(pts, grid_sum_points(16, reps, rows))
+
+
 def test_coset_restrict_values():
     sp = Space(3, 3)
     sub = Subspace.from_rows(3, 3, [[0, 1, 0]])
