@@ -13,7 +13,8 @@ At p = 2 every character is +-1, so each axis is the sign-only butterfly
 (x + y, x - y) and no complex arithmetic is needed: _walsh runs it, the fast
 Walsh-Hadamard transform.  Its stages take the coordinates in fftn's order
 (coordinate 0, the last tensor axis, first) with the same sums, so its
-results are bit-equal to fftn's on any real or complex table.
+results are bit-equal to fftn's on any real or complex table.  On int64
+tables it is exact, so patterns' dual count takes its p = 2 spectra from it.
 """
 
 from __future__ import annotations

@@ -7,20 +7,18 @@ row rank, m = k - rank A.  The enumeration kernel takes such a parametrization,
 not A, and lists each t N once, in t-order, by the coset-points kernel
 Space.image_points, in chunks of at most 2^17 tuples.
 
-iter_matches is the enumerate-and-match loop of the instance search
-(first_instance): it filters the enumeration through boolean tables, one per
-variable, and yields the matched tuples; lam sums table products over the
-same chunks.
+first_instance and lam run over the same chunks: the first stops at the first
+tuple its boolean tables match, one table per variable; lam sums table products.
 
 count_matches is the one exact count of matched solutions, for one or more
 table sets in one pass.  It takes an (m, k) parametrization N of full row
 rank: a pattern's null basis, or a Moebius term B_U N of generic_count (the
 matched all-nonzero tuples of full rank, a signed sum of all-nonzero counts
 over the subspaces of the parameter space, so no tuple is rank-reduced).  It
-enumerates with the match test of iter_matches, or takes the dual route:
-Poisson summation over the code C = {t N : t in V^m} in V^k, of size |V|^m,
-whose dual C^perp is the annihilator of N (for a null basis, the row space of
-A) over V, of size |V|^l, l = k - m:
+enumerates with the same match test, or takes the dual route: Poisson
+summation over the code C = {t N : t in V^m} in V^k, of size |V|^m, whose
+dual C^perp is the annihilator of N (for a null basis, the row space of A)
+over V, of size |V|^l, l = k - m:
 
     sum_{x in C} prod_i f_i(x_i) = |V|^-l sum_{z in C^perp} prod_i F_i(z_i),
 
@@ -29,13 +27,13 @@ identity holds in Z/q for a prime q = 1 (mod p) and an omega of order p mod
 q: the characters z -> omega^(x . z) of C^perp still sum to 0 for x outside C,
 and |V| is invertible mod q.  A count lies in [0, |V|^m], so its residues mod
 primes q < 2^29 whose product exceeds |V|^m give it exactly by the Chinese
-remainder theorem; one prime suffices up to |V|^m < 2^28.  The DFT applies
-the p x p matrix omega^(ab) mod q along each of the n axes, the finite-field
-FFT of Pollard (1971); with p <= 31 a p-term dot product of residues stays
-under p q^2 < 2^63, so int64 never overflows, and the roots are kept as
-signed residues, so entries are reduced only when the next step could
-overflow (at p = 2, never before the end).  C^perp is listed by the same
-kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
+remainder theorem; one prime suffices up to |V|^m < 2^28.  The DFT is the
+finite-field FFT of Pollard (1971), run in stages as fourier._walsh runs its
+butterfly: at odd p stage c applies the p x p matrix omega^(ab) along
+coordinate c and reduces mod q.  At p = 2, omega = -1 for every q, so F_i is
+the integer Walsh-Hadamard transform: _walsh computes it once, exactly in
+int64, and every prime reads its residues from it.  C^perp is listed by the
+same kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
 
 Before routing, count_matches merges columns: a zero column of N fixes x_i = 0
 and a column c times an earlier one fixes x_j = c x_i, so each folds into the
@@ -62,6 +60,7 @@ import numpy as np
 
 from .errors import UnsupportedCharacteristicError
 from .fields import annihilator, check_prime, is_prime, null_space, rank, rowspace_basis, subspace_bases
+from .fourier import _walsh
 from .space import Space, capped_power, check_cap, check_capped_prime, json_int
 
 ENUMERATION_CAP = 10**8
@@ -215,7 +214,7 @@ def solutions(rows, space: Space) -> np.ndarray:
 
 
 def color_tables(coloring, psi, *, require_nonzero: bool = False) -> list[np.ndarray]:
-    """Tables for count_matches and iter_matches: table i marks the points colored psi[i].
+    """Tables for count_matches and first_instance: table i marks the points colored psi[i].
 
     With require_nonzero entry 0 is cleared, so every match has all coordinates nonzero.
     """
@@ -234,15 +233,6 @@ def _hits(tables: Sequence[np.ndarray], xs: np.ndarray) -> np.ndarray:
     return hit
 
 
-def iter_matches(basis: np.ndarray, tables: Sequence[np.ndarray], space: Space) -> Iterator[np.ndarray]:
-    """Per chunk of iter_solution_chunks(basis, space), the tuples x with tables[i][x_i] true for all i.
-
-    tables are boolean arrays of length |V|, one per variable.
-    """
-    for xs in iter_solution_chunks(basis, space):
-        yield xs[_hits(tables, xs)]
-
-
 @lru_cache(maxsize=None)
 def _modulus(p: int, j: int) -> tuple[int, int]:
     """(q, omega): the j-th largest prime q < 2^29 with q = 1 (mod p), and an omega of order p mod q."""
@@ -252,40 +242,6 @@ def _modulus(p: int, j: int) -> tuple[int, int]:
     # g^((q-1)/p) has order dividing p, so order exactly p unless it is 1
     omega = next(w for w in (pow(g, (q - 1) // p, q) for g in range(2, q)) if w != 1)
     return q, omega
-
-
-def _dual_residues(
-    rowspace: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, q: int, omega: int
-) -> list[int]:
-    """Per table set, #{x in ker A : tables[i][x_i] for all i} mod q, by Poisson summation over the row space.
-
-    rowspace is the (l, k) RREF basis R of A, so iter_solution_chunks(R) lists C^perp once.
-    """
-    p, half = space.p, q // 2
-    # omega^(ab) as signed residues: at p = 2 they are +-1, so no step of the transform needs a reduction
-    w = np.array([[(pow(omega, a * b, q) + half) % q - half for b in range(p)] for a in range(p)], dtype=np.int64)
-    grow = p * int(np.abs(w).max())
-    dft = np.array(table_sets, dtype=np.int64)
-    sets, k = dft.shape[:2]
-    dft = dft.reshape(sets * k, -1)
-    bound = 1  # |entries of dft| <= bound; one step multiplies it by at most grow
-    for _ in range(space.n):
-        if bound * grow >= 1 << 63:
-            dft %= q
-            bound = q
-        # contract the leading axis (the most significant coordinate) and move its result last;
-        # after n steps every axis is transformed and back in place
-        dft = (w @ dft.reshape(sets * k, p, -1)).transpose(0, 2, 1).reshape(sets * k, -1)
-        bound *= grow
-    dft = dft.reshape(sets, k, -1) % q
-    acc = np.zeros(sets, dtype=np.int64)
-    for zs in iter_solution_chunks(rowspace, space):
-        prod = dft[:, 0, zs[:, 0]]
-        for i in range(1, k):
-            prod = prod * dft[:, i, zs[:, i]] % q
-        acc = (acc + prod.sum(axis=1)) % q  # a chunk sums at most 2^17 residues < 2^29
-    scale = pow(space.size ** rowspace.shape[0], -1, q)
-    return [int(a) * scale % q for a in acc]
 
 
 def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
@@ -381,14 +337,37 @@ def _dual_moduli(m: int, k: int, space: Space) -> list[tuple[int, int]]:
 
 
 def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
-    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m."""
+    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
+
+    int64 never overflows: at odd p a stage sums p products of residues, under p q^2 < 2^63
+    for p <= DUAL_MAX_P; at p = 2 a residue times a Walsh entry in [-|V|, |V|] is under
+    q |V| < 2^63 for |V| < 2^34, past every table that fits in memory.
+    """
     moduli = _dual_moduli(*basis.shape, space)
     rowspace = annihilator(basis, space.p)
-    counts, modulus = [0] * len(table_sets), 1
+    p, sets, k = space.p, len(table_sets), len(table_sets[0])
+    tables = np.array(table_sets, dtype=np.int64 if p == 2 else bool).reshape(sets * k, -1)
+    if p == 2:  # the exact spectra, read by every prime; _walsh overwrote the 0/1 tables
+        tables = _walsh(tables)
+    counts, modulus = [0] * sets, 1
     for q, omega in moduli:
-        for j, residue in enumerate(_dual_residues(rowspace, table_sets, space, q, omega)):
+        spectrum = tables
+        if p != 2:
+            w = np.array([[pow(omega, a * b, q) for b in range(p)] for a in range(p)], dtype=np.int64)
+            for c in range(space.n):  # the length-p DFT along coordinate c, the digit of stride p^c
+                spectrum = (w @ spectrum.reshape(sets * k, -1, p, p**c)).reshape(sets * k, -1)
+                spectrum %= q
+        spectrum = spectrum.reshape(sets, k, -1)
+        acc = np.zeros(sets, dtype=np.int64)
+        for zs in iter_solution_chunks(rowspace, space):
+            prod = spectrum[:, 0, zs[:, 0]] % q
+            for i in range(1, k):
+                prod = prod * spectrum[:, i, zs[:, i]] % q
+            acc = (acc + prod.sum(axis=1)) % q  # a chunk sums at most 2^17 residues < 2^29
+        scale = pow(space.size ** rowspace.shape[0], -1, q)
+        for j, a in enumerate(acc.tolist()):
             # Chinese remainder step: the count mod modulus * q from the count mod modulus and mod q
-            counts[j] += modulus * ((residue - counts[j]) * pow(modulus, -1, q) % q)
+            counts[j] += modulus * ((a * scale - counts[j]) * pow(modulus, -1, q) % q)
         modulus *= q
     return counts
 
@@ -554,9 +533,10 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
 def first_instance(pattern: Pattern, coloring, *, require_nonzero: bool = True) -> np.ndarray | None:
     """First instance in enumeration order, or None; used for certificates."""
     tables = color_tables(coloring, pattern.psi, require_nonzero=require_nonzero)
-    for xs in iter_matches(pattern.null_basis, tables, coloring.space):
-        if xs.shape[0]:
-            return xs[0].copy()
+    for xs in iter_solution_chunks(pattern.null_basis, coloring.space):
+        hit = np.flatnonzero(_hits(tables, xs))
+        if hit.size:
+            return xs[hit[0]].copy()
     return None
 
 

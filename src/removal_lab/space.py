@@ -167,13 +167,13 @@ class Space:
             # pts[:1] and pts[1:] are disjoint; doubling pts[:, :h] into pts[:, h:2h] for all reps at
             # once reads and writes interleaved ranges, which numpy copies first
             np.bitwise_xor(first, (flat[1:] ^ flat[:1])[:, None], out=pts[1:])
-            return pts.reshape(*reps.shape, -1)
+            return pts.reshape(*reps.shape, 1 << len(rows))
         # rep // p^c is rep's coordinate c mod p, so one mod per coordinate suffices
         shifts = reps.reshape(-1, *(1,) * len(rows), 1) // self.powers
         pts = np.zeros((reps.size,) + (self.p,) * len(rows), dtype=np.int64)
         for c, column in enumerate(rows.T):
             pts += _linear_form(self.p, column, shifts[..., c]) * self.p**c
-        return pts.reshape(*reps.shape, -1)
+        return pts.reshape(*reps.shape, self.p ** len(rows))
 
     def transversal(self, sub: Subspace) -> np.ndarray:
         """The points zero at every pivot of sub, ascending; entry i is the point of coset id i."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from removal_lab.patterns import (
     count_matches,
     first_instance,
     generic_count,
-    iter_matches,
     iter_solution_chunks,
     lam,
     pattern_stats,
@@ -191,7 +191,7 @@ def test_one_chunk_enumeration_lists_no_rep_images(monkeypatch):
 
 
 def _enumerated(h, tables, sp):
-    return sum(xs.shape[0] for xs in iter_matches(h.null_basis, tables, sp))
+    return sum(int(np.count_nonzero(patterns._hits(tables, xs))) for xs in iter_solution_chunks(h.null_basis, sp))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -224,8 +224,50 @@ def test_dual_count_combines_two_primes():
     assert count_matches(h.null_basis, table_sets, sp) == [v**3, ((v - 1) ** 4 + v - 1) // v]
 
 
+def _sum4_oracle(tables, sp):
+    """#{x1+x2+x3+x4 = 0 : tables[i][x_i] for all i}, by three additive convolutions over the add table."""
+    idx = np.arange(sp.size)
+    add = np.concatenate([sp.add_points(idx[i : i + 128, None], idx) for i in range(0, sp.size, 128)])
+    dist = tables[0].astype(np.float64)  # dist[s]: matched (x1, ..., x_j) summing to s, exact below 2^53
+    for table in tables[1:]:
+        dist = np.bincount(add.reshape(-1), weights=np.outer(dist, table).reshape(-1), minlength=sp.size)
+    return int(dist[0])
+
+
+@pytest.mark.parametrize("p, n", [(2, 10), (3, 7)])
+def test_dual_count_combines_two_primes_on_random_colorings(p, n):
+    # x1+...+x4 = 0: |V|^3 solutions (2^30, 3^21), past one prime below 2^29
+    sp = Space(p, n)
+    assert len(patterns._dual_moduli(3, 4, sp)) == 2
+    rng = np.random.default_rng([p, n])
+    h = Pattern(p, 3, [[1, 1, 1, 1]], tuple(int(c) for c in rng.integers(1, 4, 4)))
+    values = rng.integers(1, 4, sp.size)
+    values[0] = h.psi[0]  # so clearing entry 0 drops matched solutions
+    col = Coloring(sp, 3, values)
+    table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+    want = [_sum4_oracle(tables, sp) for tables in table_sets]
+    assert 0 < want[1] < want[0]
+    assert count_matches(h.null_basis, table_sets, sp) == want
+
+
+def test_dual_count_memory_is_bounded_by_its_tables():
+    # x+y+z = 0 on F_2^16: the Walsh spectra of the 6 tables, one butterfly buffer and a C^perp chunk
+    sp = Space(2, 16)
+    h = red_pattern(2, [[1, 1, 1]], 3)
+    col = Coloring(sp, 2, np.random.default_rng(16).integers(1, 3, sp.size))
+    table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
+    table_bytes = 2 * 3 * sp.size * 8  # the tables as int64
+    tracemalloc.start()
+    try:
+        count_matches(h.null_basis, table_sets, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * table_bytes
+
+
 def test_dual_count_is_exact_at_the_largest_p():
-    # p = 31 is the largest p the dual route takes; from the second axis on its transform reduces between steps
+    # p = 31 is the largest p the dual route takes: its 31-term dot products of residues come closest to 2^63
     p = patterns.DUAL_MAX_P
     rng = np.random.default_rng(p)
     for n, rows in ((2, [[1, 2, 3]]), (3, [[1, 2]])):
@@ -445,7 +487,7 @@ def test_generic_count_matches_rank_oracle(name, monkeypatch):
     col = Coloring(sp, r, rng.integers(1, r + 1, sp.size).astype(np.int64))
     # oracle: the rank of every matched all-nonzero tuple, as a (k, n) digit matrix
     tables = color_tables(col, h.psi, require_nonzero=True)
-    sel = np.concatenate(list(iter_matches(h.null_basis, tables, sp)))
+    sel = np.concatenate([xs[patterns._hits(tables, xs)] for xs in iter_solution_chunks(h.null_basis, sp)])
     ranks = batch_rank(sp.decode(sel.reshape(-1)).reshape(-1, k, n), p)
     expect = int(np.count_nonzero(ranks == h.num_free))
     nonzero = pattern_stats(h, col).nonzero_instance_count

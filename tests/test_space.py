@@ -204,6 +204,15 @@ class TestImagePointsAtTwo:
         assert np.array_equal(pts, grid_sum_points(16, reps, rows))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_image_points_of_no_reps(p, shape):
+    rows = np.eye(4, dtype=np.int64)[:2]
+    pts = Space(p, 4).image_points(np.zeros(shape, dtype=np.int64), rows)
+    assert pts.shape == shape + (p**2,)
+    assert pts.dtype == np.int64
+
+
 def test_coset_restrict_values():
     sp = Space(3, 3)
     sub = Subspace.from_rows(3, 3, [[0, 1, 0]])
