@@ -186,14 +186,15 @@ class Subspace:
         return [c for c in range(self.n) if c not in pivots]
 
     def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64).reshape(-1) % self.p
-        for row in self.basis:
-            c = int(np.nonzero(row)[0][0])
-            v = (v - v[c] * row) % self.p
-        return not v.any()
+        """Whether vec lies in self; ValueError("ambient mismatch") unless vec has length n."""
+        v = np.asarray(vec, dtype=np.int64).reshape(-1)
+        if v.size != self.n:
+            raise ValueError("ambient mismatch")
+        return Subspace.from_rows(self.p, self.n, v).leq(self)
 
     def leq(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
+        """Whether self <= other, by one RREF of the join; ValueError("ambient mismatch") across ambients."""
+        return self.join(other) == other
 
     def meet(self, other: "Subspace") -> "Subspace":
         if (self.p, self.n) != (other.p, other.n):
@@ -202,6 +203,8 @@ class Subspace:
         return Subspace.from_rows(self.p, self.n, null_space(stacked, self.p))
 
     def join(self, other: "Subspace") -> "Subspace":
+        if (self.p, self.n) != (other.p, other.n):
+            raise ValueError("ambient mismatch")
         return Subspace.from_rows(self.p, self.n, np.concatenate([self.basis, other.basis], axis=0))
 
     def annihilator_matrix(self) -> np.ndarray:

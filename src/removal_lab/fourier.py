@@ -4,10 +4,11 @@ Characters are e_p(x . z) = exp(2*pi*i * (x . z) / p).  The forward transform
 is an expectation, fhat(z) = E_x f(x) e_p(-x . z), and the inverse is the
 plain sum f(x) = sum_z g(z) e_p(x . z), so transform(transform(f)) round-trips.
 
-At odd p the table is reshaped to a (p, ..., p) tensor and run through
-numpy's fftn; coordinate i of a point lives on tensor axis n-1-i because point
-indices are little-endian, and since every coordinate transforms along its own
-axis the flat little-endian indexing of the spectrum comes out right.
+One branch, _spectra, gives every forward spectrum.  At odd p it runs numpy's
+fftn over each table reshaped to a (p, ..., p) tensor; coordinate i of a point
+lives on tensor axis n-1-i because point indices are little-endian, and since
+every coordinate transforms along its own axis the flat little-endian indexing
+of the spectrum comes out right (the odd-p inverse runs ifftn the same way).
 
 At p = 2 every character is +-1, so each axis is the sign-only butterfly
 (x + y, x - y) and no complex arithmetic is needed: _walsh runs it, the fast
@@ -45,6 +46,13 @@ def _walsh(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _spectra(tables: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Unnormalized forward spectra of the rows of a (batch, p^d) array; at p = 2 _walsh overwrites them."""
+    if p == 2:
+        return _walsh(tables)
+    return np.fft.fftn(tables.reshape(len(tables), *(p,) * d), axes=range(1, d + 1)).reshape(tables.shape)
+
+
 def transform(values: np.ndarray, space: Space, direction: str = "forward") -> np.ndarray:
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (space.size,):
@@ -53,17 +61,13 @@ def transform(values: np.ndarray, space: Space, direction: str = "forward") -> n
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if space.n == 0:
         return v.copy()
-    if space.p == 2:
-        out = _walsh(v.reshape(1, -1).copy())[0]  # _walsh overwrites its input, which may be values
-        if direction == "forward":
-            out /= space.size
-        return out
-    tensor = v.reshape((space.p,) * space.n)
+    if direction == "inverse" and space.p != 2:
+        return np.fft.ifftn(v.reshape((space.p,) * space.n)).reshape(space.size) * space.size
+    # at p = 2 the inverse is the unnormalized forward sum; the copy guards values, which _walsh would overwrite
+    out = _spectra(v.reshape(1, -1).copy(), space.p, space.n)[0]
     if direction == "forward":
-        out = np.fft.fftn(tensor) / space.size
-    else:
-        out = np.fft.ifftn(tensor) * space.size
-    return out.reshape(space.size)
+        out /= space.size
+    return out
 
 
 def regularity_norm(values: np.ndarray, space: Space) -> tuple[float, int | None]:
@@ -98,12 +102,9 @@ def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.n
     for start in range(0, reps.size, block):
         sel = reps[start : start + block]
         tables = v[space.coset_points(sel, sub)].reshape(sel.size, size)
-        if space.p == 2:
-            mags = np.abs(_walsh(tables))
-            mags /= size
-        else:
-            hats = np.fft.fftn(tables.reshape(sel.size, *(space.p,) * d), axes=range(1, d + 1))
-            mags = np.abs(hats.reshape(sel.size, -1) / size)
+        hats = _spectra(tables, space.p, d)
+        hats /= size
+        mags = np.abs(hats)
         mags[:, 0] = -1.0
         w = np.argmax(mags, axis=1)
         norms[start : start + block] = mags[np.arange(sel.size), w]

@@ -2,10 +2,10 @@
 
 Each algorithm here follows an energy-increment proof directly: refine while
 some function is irregular on too many cosets, and assert the measured energy
-gain that the argument promises on every round.  The returned report objects
-carry the *re-measured* conclusions — nothing is trusted from the loop
-structure itself, and verifiers re-derive every claim from the published
-subspaces alone.
+gain that the argument promises on every round.  Green's report is built from
+its final scan, a measurement of the published V_1 itself; strong
+regularization re-measures its V_2 and verify_model re-derives every claim of
+a model from the published subspaces alone.
 
 Decision thresholds are strict (a coset is refined iff its norm exceeds eps),
 verifier thresholds allow FLOAT_TOL of slack.  The asymmetry keeps both sides
@@ -92,7 +92,7 @@ class GreenReport:
     eps: float
     rounds: tuple[GreenRound, ...]
     final_bad_fractions: tuple[float, ...]
-    verified = True  # built only after the re-measurement passed
+    verified = True  # built only from the final scan of the published V_1, with every fraction within eps
 
     def as_dict(self) -> dict:
         return {
@@ -116,13 +116,13 @@ class GreenReport:
 
 
 def _coset_irregularity(fs, space, sub, eps):
-    """Per function: (bad rep positions, witnesses, fraction) over a transversal."""
+    """Per function: (witnesses of its cosets of norm > eps, their fraction) over a transversal of sub."""
     reps = space.transversal(sub)
     out = []
     for f in fs:
         norms, wits = batch_coset_norms(f, space, sub, reps)
-        bad = np.nonzero(norms > eps)[0]
-        out.append((reps[bad], wits[bad], Fraction(int(bad.size), int(reps.size))))
+        bad = norms > eps
+        out.append((wits[bad], Fraction(int(np.count_nonzero(bad)), int(reps.size))))
     return out
 
 
@@ -147,14 +147,13 @@ def green_regularize(
     energy = _coset_energy(fs, space, v) if start_energy is None else start_energy
     while True:
         scan = _coset_irregularity(fs, space, v, eps)
-        fractions = tuple(float(s[2]) for s in scan)
-        worst = next((i for i, s in enumerate(scan) if s[2] > eps_frac), None)
+        fractions = tuple(float(frac) for _, frac in scan)
+        worst = next((i for i, (_, frac) in enumerate(scan) if frac > eps_frac), None)
         if worst is None:
-            break
-        bad_reps, bad_wits, _ = scan[worst]
-        tspace = Space(space.p, v.dim)
-        zrows = tspace.decode(bad_wits)
-        cut_t = null_space(zrows, space.p)
+            # this scan of the published V_1 is the conclusion: every fraction is within eps
+            return GreenReport(v1=v, eps=eps, rounds=tuple(rounds), final_bad_fractions=fractions)
+        bad_wits = scan[worst][0]
+        cut_t = null_space(Space(space.p, v.dim).decode(bad_wits), space.p)
         v_next = Subspace.from_rows(space.p, space.n, cut_t @ v.basis % space.p)
         assert v_next.dim < v.dim, "cut must strictly shrink the subspace"
         energy_next = _coset_energy(fs, space, v_next)
@@ -168,33 +167,29 @@ def green_regularize(
                 codim_after=v_next.codim,
                 worst_function=worst,
                 bad_fractions=fractions,
-                num_cuts=int(bad_reps.size),
+                num_cuts=int(bad_wits.size),
                 energy_before=energy,
                 energy_after=energy_next,
             )
         )
         v, energy = v_next, energy_next
         assert len(rounds) <= space.n + 1, "more rounds than dimensions"
-    final = tuple(float(s[2]) for s in scan)
-    verified = all(s[2] <= eps_frac for s in scan)
-    if not verified:
-        raise VerificationError("green conclusion failed re-measurement", evidence=final)
-    return GreenReport(v1=v, eps=eps, rounds=tuple(rounds), final_bad_fractions=final)
 
 
 @dataclass(frozen=True)
 class StrongStage:
-    index: int
-    eps_used: float
+    """The subspace one Green pass ended at (the start v0 for stage 0): its codimension and coset energy."""
+
     codim: int
     energy: float
 
 
 @dataclass(frozen=True)
 class StrongReport:
+    """The last two subspaces (V_1, V_2), every stage, and the re-measured gap and V_2 scan at eps_final."""
+
     v1: Subspace
     v2: Subspace
-    delta: float
     stages: tuple[StrongStage, ...]
     final_gap: float
     bad_fractions: tuple[float, ...]
@@ -220,16 +215,15 @@ def strong_regularize(
         raise ValueError("delta must be positive")
     fs = _check_tables(fs, space)
     k = len(fs)
-    stages = [StrongStage(0, float("nan"), v0.codim, _coset_energy(fs, space, v0))]
+    stages = [StrongStage(v0.codim, _coset_energy(fs, space, v0))]
     vs = [v0]
     cap = math.ceil(k / delta) + 2
-    for m in range(cap):
-        eps_m = eps_seq(vs[-1].codim)
-        g = green_regularize(fs, space, vs[-1], eps_m, start_energy=stages[-1].energy)
+    for _ in range(cap):
+        g = green_regularize(fs, space, vs[-1], eps_seq(vs[-1].codim), start_energy=stages[-1].energy)
         vs.append(g.v1)
         # the pass measured the energy of its last subspace; without a round it is unchanged
         energy = g.rounds[-1].energy_after if g.rounds else stages[-1].energy
-        stages.append(StrongStage(m + 1, eps_m, g.v1.codim, energy))
+        stages.append(StrongStage(g.v1.codim, energy))
         if stages[-1].energy - stages[-2].energy <= delta:
             break
     else:
@@ -238,18 +232,12 @@ def strong_regularize(
     gap = stages[-1].energy - stages[-2].energy
     eps_final = eps_seq(v1.codim)
     scan = _coset_irregularity(fs, space, v2, eps_final + FLOAT_TOL)
-    fractions = tuple(float(s[2]) for s in scan)
-    ok = gap <= delta + FLOAT_TOL and all(s[2] <= Fraction(eps_final) + Fraction(FLOAT_TOL) for s in scan)
+    fractions = tuple(float(frac) for _, frac in scan)
+    ok = gap <= delta + FLOAT_TOL and all(frac <= Fraction(eps_final) + Fraction(FLOAT_TOL) for _, frac in scan)
     if not ok:
         raise VerificationError("strong regularity conclusions failed", evidence={"gap": gap, "fractions": fractions})
     return StrongReport(
-        v1=v1,
-        v2=v2,
-        delta=delta,
-        stages=tuple(stages),
-        final_gap=gap,
-        bad_fractions=fractions,
-        eps_final=eps_final,
+        v1=v1, v2=v2, stages=tuple(stages), final_gap=gap, bad_fractions=fractions, eps_final=eps_final
     )
 
 
@@ -295,7 +283,8 @@ def verify_model(fs: Sequence[np.ndarray], space: Space, v1: Subspace, v2: Subsp
     subspace_points(u)), which regular_model moves out of the dict.
     """
     fs = _check_tables(fs, space)
-    structural = v2.leq(v1) and u.meet(v1).dim == 0 and u.join(v1).dim == space.n
+    # dim(U meet V_1) = dim U + dim V_1 - dim(U + V_1), so the two dimension counts make the sum direct
+    structural = v2.leq(v1) and u.dim + v1.dim == space.n and u.join(v1).dim == space.n
     ids1 = space.coset_ids(v1)
     ids2 = space.coset_ids(v2)
     u_pts = space.subspace_points(u)

@@ -112,6 +112,38 @@ class TestSubspace:
         assert s.leq(Subspace.full(5, 3))
         assert Subspace.zero(5, 3).leq(s)
 
+    def test_contains_refuses_a_vector_of_another_length(self):
+        s = Subspace.zero(2, 3)
+        # length 2n would otherwise reshape into two rows of F_2^3
+        for vec in ([0] * 5, [0] * 6, [0, 0]):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                s.contains(vec)
+
+    def test_leq_refuses_another_dimension(self):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Subspace.zero(2, 3).leq(Subspace.full(3, 4))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Subspace.full(2, 3).leq(Subspace.full(2, 4))
+
+    def test_leq_refuses_another_field(self):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Subspace.from_rows(2, 3, [[1, 1, 0]]).leq(Subspace.full(3, 3))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Subspace.full(3, 3).leq(Subspace.from_rows(2, 3, [[1, 1, 0]]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_leq_and_contains_match_the_span_oracle(self, p):
+        # x in S iff appending x to S's basis keeps the rank; S <= T iff every basis row of S is in T
+        rng = np.random.default_rng(p)
+        n = 4
+        for _ in range(40):
+            s = Subspace.from_rows(p, n, random_matrix(rng, p, rng.integers(0, n + 1), n))
+            t = Subspace.from_rows(p, n, random_matrix(rng, p, rng.integers(0, n + 1), n))
+            x = random_matrix(rng, p, 1, n)[0] * rng.integers(0, 2)
+            assert s.contains(x) == (rank(np.vstack([s.basis, x]), p) == s.dim)
+            assert s.leq(t) == (rank(np.vstack([t.basis, s.basis]), p) == t.dim)
+            assert s.leq(s.join(t)) and Subspace.zero(p, n).leq(s)
+
     def test_meet_join_dimension(self):
         rng = np.random.default_rng(11)
         for _ in range(30):

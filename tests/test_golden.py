@@ -49,6 +49,11 @@ def write_inputs(tmp_path):
         write_pattern(tmp_path / f"sum4f{p}.json", Pattern(p, 2, [[1, 1, 1, 1]], (1,) * 4))
     # x + y + z = 0 over F_2 keeps a monochromatic instance after the patch, so remove refuses
     write_family(tmp_path / "sum3f2.json", [Pattern(2, 2, [[1, 1, 1]], (1, 1, 1))])
+    # all 1s on F_2^16 but 8 seeded points of color 2: Case B through a model with codim V_1 = 7 < 16
+    values = np.ones(2**16, dtype=np.int64)
+    values[np.random.default_rng(16).choice(2**16, 8, replace=False)] = 2
+    write_coloring(tmp_path / "sparse16.json", Coloring(Space(2, 16), 2, values))
+    write_family(tmp_path / "sum3f2c2.json", [Pattern(2, 2, [[1, 1, 1]], (2, 2, 2))])
 
 
 RUNS = {
@@ -72,6 +77,10 @@ RUNS = {
     "stats_sum5_f2": (0, ["stats", "--pattern", "sum5.json", "--coloring", "rand2f4.json"]),
     "stats_sum4_f2": (0, ["stats", "--pattern", "sum4f2.json", "--coloring", "rand2f10.json"]),
     "stats_sum4_f3": (0, ["stats", "--pattern", "sum4f3.json", "--coloring", "rand3f6.json"]),
+    "remove_case_b_nontrivial": (
+        0,
+        ["remove", "--family", "sum3f2c2.json", "--coloring", "sparse16.json", "--eps", "0.5", "--acknowledge-complexity"],
+    ),
     "remove_case_a": (
         2,
         ["remove", "--family", "mono3.json", "--coloring", "rand3.json", "--eps", "0.7", "--eps-rado", "1.5"],

@@ -7,7 +7,7 @@ import pytest
 from removal_lab.energy import Partition, project_energy
 from removal_lab.errors import SpaceExhaustedError
 from removal_lab.fields import Subspace
-from removal_lab.fourier import batch_coset_norms
+from removal_lab.fourier import FLOAT_TOL, batch_coset_norms
 from removal_lab.ramsey import canonical_coloring
 from removal_lab.regularize import (
     green_regularize,
@@ -79,6 +79,37 @@ def test_green_zero_start_is_vacuous():
     assert rep.verified and len(rep.rounds) == 0 and rep.v1.dim == 0
 
 
+def bad_fractions_of(fs, space, sub, eps):
+    """The fraction of cosets of sub on which each f has norm above eps, measured from sub alone."""
+    reps = space.transversal(sub)
+    return tuple(int(np.count_nonzero(batch_coset_norms(f, space, sub, reps)[0] > eps)) / reps.size for f in fs)
+
+
+def half_structured_pair(space, seed):
+    """f: a codim-2 set on x_0 = 0 and noise elsewhere; g: a hyperplane with 5% of its bits flipped.
+
+    Their final scans keep some cosets above eps, so the re-measured fractions below are not all zero.
+    """
+    rng = np.random.default_rng(seed)
+    d = space.digits
+    vals = d @ rng.integers(0, space.p, (3, space.n)).T % space.p
+    f = np.where(d[:, 0] == 0, (vals[:, 0] == 0) & (vals[:, 1] == 0), rng.random(space.size) < 0.5)
+    g = (vals[:, 2] == 0) ^ (rng.random(space.size) < 0.05)
+    return [f.astype(float), g.astype(float)]
+
+
+@pytest.mark.parametrize("p,n,seed,eps", [(2, 7, 1, 0.2), (2, 7, 35, 0.25), (3, 4, 11, 0.25), (3, 5, 36, 0.2)])
+def test_green_conclusion_re_measured_from_v1(p, n, seed, eps):
+    # green_regularize reports the scan that ended its loop; re-measure it on the published V_1 alone
+    sp = Space(p, n)
+    fs = half_structured_pair(sp, seed)
+    rep = green_regularize(fs, sp, Subspace.full(p, n), eps)
+    again = bad_fractions_of(fs, sp, rep.v1, eps)
+    assert again == rep.final_bad_fractions
+    assert 0 < max(again) <= eps
+    assert rep.rounds and rep.v1.dim > 0
+
+
 def test_strong_regularize_reaches_stable_pair():
     rng = np.random.default_rng(21)
     sp = Space(2, 8)
@@ -108,6 +139,17 @@ def test_strong_stage_energies_are_the_measured_coset_energies():
         for stage, v in zip(rep.stages[-2:], (rep.v1, rep.v2)):
             assert stage.codim == v.codim
             assert stage.energy == project_energy(Partition.from_cosets(sp, v), fs)[1]
+
+
+@pytest.mark.parametrize("p,n,seed,eps", [(2, 7, 35, 0.25), (3, 4, 11, 0.25)])
+def test_strong_conclusion_re_measured_from_v2(p, n, seed, eps):
+    sp = Space(p, n)
+    fs = half_structured_pair(sp, seed)
+    rep = strong_regularize(fs, sp, Subspace.full(p, n), 0.02, lambda c: eps)
+    again = bad_fractions_of(fs, sp, rep.v2, rep.eps_final + FLOAT_TOL)
+    assert again == rep.bad_fractions
+    assert 0 < max(again) <= rep.eps_final + FLOAT_TOL
+    assert rep.v2.dim > 0
 
 
 # --- regular models ---------------------------------------------------------------
@@ -172,6 +214,36 @@ def test_verify_model_flags_structural_breakage():
     v1 = Subspace.from_rows(2, 3, [[1, 0, 0]])
     out = verify_model([f], sp, v1, v1, v1, 0.5)  # u is not a complement of v1
     assert not out["structural_ok"] and not out["ok"]
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (5, 3)])
+def test_verify_model_structural_check_matches_the_meet_oracle(p, n):
+    # the reference is the direct reading: V_2 <= V_1, U meet V_1 = 0 and U + V_1 = V
+    sp = Space(p, n)
+    rng = np.random.default_rng(p)
+    f = rng.random(sp.size)
+
+    def span(rows):
+        return Subspace.from_rows(p, n, np.asarray(rows, dtype=np.int64).reshape(-1, n))
+
+    outcomes = set()
+    for _ in range(25):
+        v1 = span(rng.integers(0, p, (rng.integers(0, n + 1), n)))
+        inside = rng.integers(0, p, (rng.integers(0, v1.dim + 1), v1.dim)) @ v1.basis % p
+        outside = rng.integers(0, p, (rng.integers(0, n + 1), n))
+        v2 = span(inside if rng.random() < 0.7 else outside)
+        c = v1.complement(seed=int(rng.integers(1 << 30)))
+        us = [v1, c, span(outside)]
+        if v1.dim:
+            us.append(c.join(span(v1.basis[:1])))  # overlaps V_1 and spans with it
+            us.append(span(np.vstack([c.basis[1:], v1.basis[:1]])))  # overlaps V_1 with the complement's dimension
+        if c.dim:
+            us.append(span(c.basis[1:]))  # meets V_1 in 0 but does not span with it
+        for u in us:
+            want = v2.leq(v1) and u.meet(v1).dim == 0 and u.join(v1).dim == n
+            assert verify_model([f], sp, v1, v2, u, 0.5)["structural_ok"] == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 # --- recoloring --------------------------------------------------------------------

@@ -87,6 +87,27 @@ def test_removal_budget_respected_when_patch_is_nontrivial():
     assert rep.verified_free
 
 
+def sparse_two_coloring(n):
+    """All 1s on F_2^n except 8 seeded points colored 2."""
+    values = np.ones(2**n, dtype=np.int64)
+    values[np.random.default_rng(n).choice(2**n, 8, replace=False)] = 2
+    return Coloring(Space(2, n), 2, values)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_removal_case_b_through_a_nontrivial_model(n):
+    # dim V_1 > 0: the model, its structural check and the recoloring are not the degenerate V_1 = {0} ones
+    fam = [Pattern(2, 2, [[1, 1, 1]], (2, 2, 2))]
+    rep = induced_removal(sparse_two_coloring(n), fam, 0.5, acknowledge_complexity=True)
+    model = rep.recolor.model
+    assert model.v1.dim > 0 and model.v1.codim == model.v2.codim == 7
+    assert model.details["structural_ok"]
+    assert rep.dichotomy.case == "B" and rep.dichotomy.chi == (1,)
+    assert rep.changed_count == 8
+    assert rep.verified_free
+    assert all(pattern_stats(h, rep.coloring).is_free for h in fam)
+
+
 def test_removal_validates_inputs():
     sp = Space(3, 3)
     phi = Coloring(sp, 2, np.ones(sp.size, dtype=np.int64))
