@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields.
 
-Matrices are numpy int64 arrays with entries in [0, p).  All routines are
+Routines take any integer array and return int64 arrays with entries in
+[0, p); rref is the one place that reduces its input mod p.  All routines are
 exact (no floats) and deterministic.  Subspaces are represented by their
 reduced-row-echelon basis, so two Subspace objects are equal iff they describe
 the same set of vectors.
@@ -32,14 +33,9 @@ def check_prime(p: int) -> int:
     return p
 
 
-def as_fp_matrix(rows, p: int) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(rows, dtype=np.int64))
-    return m % p
-
-
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, mod p."""
-    m = as_fp_matrix(mat, p).copy()
+    """Reduced row echelon form and pivot columns, mod p; mat is left unchanged."""
+    m = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % p
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -69,9 +65,8 @@ def rref_rank_null(mat, p: int) -> tuple[np.ndarray, int, np.ndarray]:
     column, ordered by free column, with a 1 in that column.  For a rank-rk
     matrix with k columns the basis has k - rk rows.
     """
-    m = as_fp_matrix(mat, p)
-    red, pivots = rref(m, p)
-    k = m.shape[1]
+    red, pivots = rref(mat, p)
+    k = red.shape[1]
     free = [c for c in range(k) if c not in pivots]
     basis = np.zeros((len(free), k), dtype=np.int64)
     for i, j in enumerate(free):
@@ -91,7 +86,7 @@ def null_space(mat, p: int) -> np.ndarray:
 
 def rowspace_basis(rows, p: int) -> np.ndarray:
     """Canonical (RREF) basis of the row space; zero rows dropped."""
-    red, pivots = rref(as_fp_matrix(rows, p), p)
+    red, pivots = rref(rows, p)
     return red[: len(pivots)]
 
 
@@ -121,8 +116,8 @@ def solve(a, b, p: int) -> np.ndarray | None:
 
     An (l, d) b is solved through one RREF of [A | B]: x is (k, d), and None if any column is inconsistent.
     """
-    a = as_fp_matrix(a, p)
-    bm = np.asarray(b, dtype=np.int64) % p
+    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    bm = np.asarray(b, dtype=np.int64)
     if a.shape[0] != bm.shape[0]:
         raise ValueError("shape mismatch")
     k = a.shape[1]
@@ -149,18 +144,18 @@ class Subspace:
 
     def __post_init__(self):
         check_prime(self.p)
-        b = rowspace_basis(self.basis, self.p) if self.basis.size else np.zeros((0, self.n), dtype=np.int64)
-        if b.shape[1] != self.n and b.shape[0] > 0:
+        rows = np.atleast_2d(self.basis)
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != self.n):
             raise ValueError("basis width does not match ambient dimension")
-        b = b.reshape(b.shape[0], self.n)
+        b = rowspace_basis(rows, self.p) if rows.size else np.zeros((0, self.n), dtype=np.int64)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "_key", b.tobytes() + self.p.to_bytes(8, "big") + self.n.to_bytes(8, "big"))
 
     @classmethod
     def from_rows(cls, p: int, n: int, rows) -> "Subspace":
-        r = as_fp_matrix(rows, p) if np.asarray(rows).size else np.zeros((0, n), dtype=np.int64)
-        return cls(p, n, r.reshape(-1, n) if r.size else np.zeros((0, n), dtype=np.int64))
+        """The span of a length-n vector or of rows of width n (ValueError otherwise); no rows give {0}."""
+        return cls(p, n, np.asarray(rows, dtype=np.int64))
 
     @classmethod
     def full(cls, p: int, n: int) -> "Subspace":
@@ -229,4 +224,4 @@ class Subspace:
             return Subspace.from_rows(self.p, self.n, det_rows)
         rng = np.random.default_rng(seed)
         m = rng.integers(0, self.p, size=(det_rows.shape[0], self.dim), dtype=np.int64)
-        return Subspace.from_rows(self.p, self.n, (det_rows + m @ self.basis) % self.p)
+        return Subspace.from_rows(self.p, self.n, det_rows + m @ self.basis)

@@ -3,9 +3,10 @@
 Each algorithm here follows an energy-increment proof directly: refine while
 some function is irregular on too many cosets, and assert the measured energy
 gain that the argument promises on every round.  Green's report is built from
-its final scan, a measurement of the published V_1 itself; strong
-regularization re-measures its V_2 and verify_model re-derives every claim of
-a model from the published subspaces alone.
+its final scan, a measurement of the published V_1 itself.  Strong
+regularization concludes from its last Green pass: conclusion (2) is the
+loop's exit test and (3) is that pass's exit scan of V_2.  verify_model
+re-measures every claim of a model from the published subspaces alone.
 
 Decision thresholds are strict (a coset is refined iff its norm exceeds eps),
 verifier thresholds allow FLOAT_TOL of slack.  The asymmetry keeps both sides
@@ -154,7 +155,7 @@ def green_regularize(
             return GreenReport(v1=v, eps=eps, rounds=tuple(rounds), final_bad_fractions=fractions)
         bad_wits = scan[worst][0]
         cut_t = null_space(Space(space.p, v.dim).decode(bad_wits), space.p)
-        v_next = Subspace.from_rows(space.p, space.n, cut_t @ v.basis % space.p)
+        v_next = Subspace.from_rows(space.p, space.n, cut_t @ v.basis)
         assert v_next.dim < v.dim, "cut must strictly shrink the subspace"
         energy_next = _coset_energy(fs, space, v_next)
         assert energy_next - energy > eps**3 - FLOAT_TOL, (
@@ -186,7 +187,7 @@ class StrongStage:
 
 @dataclass(frozen=True)
 class StrongReport:
-    """The last two subspaces (V_1, V_2), every stage, and the re-measured gap and V_2 scan at eps_final."""
+    """(V_1, V_2), every stage, and the last Green pass's energy gap and exit scan of V_2 at eps_final."""
 
     v1: Subspace
     v2: Subspace
@@ -194,7 +195,7 @@ class StrongReport:
     final_gap: float
     bad_fractions: tuple[float, ...]
     eps_final: float
-    verified = True  # built only after both conclusions were re-verified
+    verified = True  # built only at the loop's exit test (gap <= delta), from a pass whose exit scan of V_2 passed
 
 
 def strong_regularize(
@@ -207,38 +208,30 @@ def strong_regularize(
     """Iterate green_regularize until one pass gains at most delta energy.
 
     eps_seq maps the current codimension to the regularity parameter of the
-    next pass.  Returns the last two subspaces (V_1, V_2); conclusion (2)
-    (energy gap <= delta) and conclusion (3) (regularity of V_2-restrictions
-    at parameter eps_seq(codim V_1), measured over cosets) are re-verified.
+    next pass.  Returns the last two subspaces (V_1, V_2).  Conclusion (2)
+    (energy gap <= delta) is the loop's exit test, and conclusion (3)
+    (regularity of V_2-restrictions at parameter eps_seq(codim V_1), measured
+    over cosets) is the last pass's exit scan of V_2, which started at V_1
+    with that parameter; verify_model re-measures a model built on them.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     fs = _check_tables(fs, space)
     k = len(fs)
     stages = [StrongStage(v0.codim, _coset_energy(fs, space, v0))]
-    vs = [v0]
-    cap = math.ceil(k / delta) + 2
-    for _ in range(cap):
-        g = green_regularize(fs, space, vs[-1], eps_seq(vs[-1].codim), start_energy=stages[-1].energy)
-        vs.append(g.v1)
+    v1 = v0
+    for _ in range(math.ceil(k / delta) + 2):
+        g = green_regularize(fs, space, v1, eps_seq(v1.codim), start_energy=stages[-1].energy)
         # the pass measured the energy of its last subspace; without a round it is unchanged
         energy = g.rounds[-1].energy_after if g.rounds else stages[-1].energy
+        gap = energy - stages[-1].energy
         stages.append(StrongStage(g.v1.codim, energy))
-        if stages[-1].energy - stages[-2].energy <= delta:
-            break
-    else:
-        raise AssertionError("energy increment exceeded its k/delta budget")
-    v1, v2 = vs[-2], vs[-1]
-    gap = stages[-1].energy - stages[-2].energy
-    eps_final = eps_seq(v1.codim)
-    scan = _coset_irregularity(fs, space, v2, eps_final + FLOAT_TOL)
-    fractions = tuple(float(frac) for _, frac in scan)
-    ok = gap <= delta + FLOAT_TOL and all(frac <= Fraction(eps_final) + Fraction(FLOAT_TOL) for _, frac in scan)
-    if not ok:
-        raise VerificationError("strong regularity conclusions failed", evidence={"gap": gap, "fractions": fractions})
-    return StrongReport(
-        v1=v1, v2=v2, stages=tuple(stages), final_gap=gap, bad_fractions=fractions, eps_final=eps_final
-    )
+        if gap <= delta:
+            return StrongReport(
+                v1=v1, v2=g.v1, stages=tuple(stages), final_gap=gap, bad_fractions=g.final_bad_fractions, eps_final=g.eps
+            )
+        v1 = g.v1
+    raise AssertionError("energy increment exceeded its k/delta budget")
 
 
 # --- the regular model ---------------------------------------------------------
@@ -426,7 +419,7 @@ def regularity_recolor(
     while True:
         eps2 = min(eps / (4 * r), float(eps_seq(d)))
         # v0 = {x : x_0 = ... = x_{d-1} = 0}, the last n - d rows of the full space's basis
-        v0 = _shrink_to_codim(space, Subspace.full(space.p, space.n), d)
+        v0 = Subspace.from_rows(space.p, space.n, np.eye(space.n, dtype=np.int64)[d:])
         # the r indicator tables are built per pass and freed with it: alive in the repaint below,
         # they would be r |V|-point float tables on top of its peak memory
         model = regular_model(coloring.indicators(), space, v0, eps2, seed=seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from removal_lab.fields import (
     Subspace,
@@ -9,6 +10,7 @@ from removal_lab.fields import (
     null_space,
     rank,
     rref,
+    rowspace_basis,
     rref_rank_null,
     solve,
 )
@@ -62,6 +64,30 @@ def test_annihilator_involution(pm):
     back = annihilator(ann, p)
     # double annihilator = row space
     assert rank(np.vstack([m, back]), p) == rank(m, p) == rank(back, p)
+
+
+def raw_ints(p, shape):
+    """Integer arrays of the given shape with entries in [-3p, 3p], most of them outside [0, p)."""
+    return arrays(np.int64, shape, elements=st.integers(-3 * p, 3 * p))
+
+
+@given(st.sampled_from(PRIMES), st.integers(0, 5), st.integers(1, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_routines_reduce_raw_input(p, r, c, data):
+    # every routine gives on a raw integer matrix what it gives on the matrix mod p
+    raw = data.draw(raw_ints(p, (r, c)))
+    red, kept = raw % p, raw.copy()
+    got, want = rref(raw, p), rref(red, p)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(raw, kept), "rref must not write into its input"
+    for fn in (rowspace_basis, null_space, annihilator):
+        assert np.array_equal(fn(raw, p), fn(red, p))
+    for shape in ((r,), (r, 2)):
+        b = data.draw(raw_ints(p, shape))
+        x_raw, x_red = solve(raw, b, p), solve(red, b % p, p)
+        assert (x_raw is None) == (x_red is None)
+        if x_red is not None:
+            assert np.array_equal(x_raw, x_red)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -118,6 +144,18 @@ class TestSubspace:
         for vec in ([0] * 5, [0] * 6, [0, 0]):
             with pytest.raises(ValueError, match="ambient mismatch"):
                 s.contains(vec)
+
+    def test_from_rows_refuses_another_width(self):
+        # rows of width 2n, a flat 2n-vector and a 3-D array hold a multiple of n entries but are not rows of F_2^3
+        for rows in ([[1, 1, 0, 1, 0, 1]], [1, 1, 0, 1, 0, 1], np.ones((2, 2, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="width"):
+                Subspace.from_rows(2, 3, rows)
+
+    def test_from_rows_takes_no_rows_and_a_vector(self):
+        assert Subspace.from_rows(2, 3, []) == Subspace.zero(2, 3)
+        assert Subspace.from_rows(2, 3, np.zeros((0, 3), dtype=np.int64)) == Subspace.zero(2, 3)
+        line = Subspace.from_rows(3, 3, [2, 0, 4])
+        assert line.dim == 1 and np.array_equal(line.basis, [[1, 0, 2]])
 
     def test_leq_refuses_another_dimension(self):
         with pytest.raises(ValueError, match="ambient mismatch"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from removal_lab import removal
+from removal_lab import regularize, removal
 from removal_lab.errors import CaseAAbort, ResourceCapError, VerificationError
 from removal_lab.fields import Subspace
 from removal_lab.patterns import Pattern, first_instance, pattern_stats
@@ -106,6 +106,23 @@ def test_removal_case_b_through_a_nontrivial_model(n):
     assert rep.changed_count == 8
     assert rep.verified_free
     assert all(pattern_stats(h, rep.coloring).is_free for h in fam)
+
+
+def test_removal_scans_each_coset_family_once(monkeypatch):
+    # strong regularization concludes from its last Green pass: no norm scan repeats (table, V_2, reps)
+    real = regularize.batch_coset_norms
+    keys = []
+
+    def spy(f, space, sub, reps):
+        keys.append((np.asarray(f).tobytes(), sub, np.asarray(reps).tobytes()))
+        return real(f, space, sub, reps)
+
+    monkeypatch.setattr(regularize, "batch_coset_norms", spy)
+    fam = [Pattern(2, 2, [[1, 1, 1]], (2, 2, 2))]
+    rep = induced_removal(sparse_two_coloring(16), fam, 0.5, acknowledge_complexity=True)
+    assert rep.verified_free and rep.recolor.model.v1.dim > 0
+    assert keys
+    assert len(set(keys)) == len(keys), f"{len(keys)} scans, {len(set(keys))} distinct"
 
 
 def test_removal_validates_inputs():
