@@ -203,10 +203,7 @@ class Subspace:
         return Subspace.from_rows(self.p, self.n, np.concatenate([self.basis, other.basis], axis=0))
 
     def annihilator_matrix(self) -> np.ndarray:
-        """Rows y with self = {x : y . x = 0 for all rows y}; shape (codim, n)."""
-        # V_1 = {0} in most pipeline models; on F_2^16 eye(n) takes 3 us, annihilator 230 us (2 cores, numpy 2.4)
-        if self.dim == 0:
-            return np.eye(self.n, dtype=np.int64)
+        """Rows y with self = {x : y . x = 0 for all rows y}; shape (codim, n), eye(n) for {0}."""
         return annihilator(self.basis, self.p)
 
     def complement(self, seed: int | None = None) -> "Subspace":

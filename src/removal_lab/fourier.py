@@ -4,11 +4,12 @@ Characters are e_p(x . z) = exp(2*pi*i * (x . z) / p).  The forward transform
 is an expectation, fhat(z) = E_x f(x) e_p(-x . z), and the inverse is the
 plain sum f(x) = sum_z g(z) e_p(x . z), so transform(transform(f)) round-trips.
 
-One branch, _spectra, gives every forward spectrum.  At odd p it runs numpy's
-fftn over each table reshaped to a (p, ..., p) tensor; coordinate i of a point
-lives on tensor axis n-1-i because point indices are little-endian, and since
-every coordinate transforms along its own axis the flat little-endian indexing
-of the spectrum comes out right (the odd-p inverse runs ifftn the same way).
+One branch, _spectra, gives every forward spectrum; one kernel,
+batch_coset_norms, every regularity norm (regularity_norm's on the coset 0 + V).
+At odd p _spectra runs numpy's fftn over each table reshaped to a (p, ..., p)
+tensor; coordinate i of a point lives on tensor axis n-1-i because point indices
+are little-endian, and since every coordinate transforms along its own axis the
+flat little-endian indexing of the spectrum comes out right (ifftn likewise).
 
 At p = 2 every character is +-1, so each axis is the sign-only butterfly
 (x + y, x - y) and no complex arithmetic is needed: _walsh runs it, the fast
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fields import Subspace
 from .space import Space
 
 FLOAT_TOL = 1e-9
@@ -59,8 +61,6 @@ def transform(values: np.ndarray, space: Space, direction: str = "forward") -> n
         raise ValueError("table has wrong length")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    if space.n == 0:
-        return v.copy()
     if direction == "inverse" and space.p != 2:
         return np.fft.ifftn(v.reshape((space.p,) * space.n)).reshape(space.size) * space.size
     # at p = 2 the inverse is the unnormalized forward sum; the copy guards values, which _walsh would overwrite
@@ -71,16 +71,11 @@ def transform(values: np.ndarray, space: Space, direction: str = "forward") -> n
 
 
 def regularity_norm(values: np.ndarray, space: Space) -> tuple[float, int | None]:
-    """(max_{z != 0} |fhat(z)|, witness index), witness None when n = 0.
-
-    Among maximizing frequencies the one with the smallest index is returned.
-    """
+    """(max_{z != 0} |fhat(z)|, smallest maximizing z), z None when n = 0: batch_coset_norms of the coset 0 + V."""
     if space.n == 0:
         return 0.0, None
-    mags = np.abs(transform(values, space))
-    mags[0] = -1.0
-    z = int(np.argmax(mags))
-    return float(mags[z]), z
+    norms, wits = batch_coset_norms(values, space, Subspace.full(space.p, space.n), [0])
+    return float(norms[0]), int(wits[0])
 
 
 def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +85,7 @@ def batch_coset_norms(values, space: Space, sub, reps) -> tuple[np.ndarray, np.n
     indices in the restriction coordinates (the same t-indexing that
     coset_restrict uses); witness -1 when dim sub = 0.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64).reshape(space.size)  # ValueError unless one value per point
     reps = np.asarray(reps, dtype=np.int64)
     d = sub.dim
     if d == 0:

@@ -33,7 +33,8 @@ butterfly: at odd p stage c applies the p x p matrix omega^(ab) along
 coordinate c and reduces mod q.  At p = 2, omega = -1 for every q, so F_i is
 the integer Walsh-Hadamard transform: _walsh computes it once, exactly in
 int64, and every prime reads its residues from it.  C^perp is listed by the
-same kernel, iter_solution_chunks on the RREF basis R = fields.annihilator(N).
+same kernel, iter_solution_chunks on the basis R = fields.null_space(N): a
+sum of residues depends neither on the basis of C^perp nor on its order.
 
 Before routing, count_matches merges columns: a zero column of N fixes x_i = 0
 and a column c times an earlier one fixes x_j = c x_i, so each folds into the
@@ -344,7 +345,7 @@ def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], s
     q |V| < 2^63 for |V| < 2^34, past every table that fits in memory.
     """
     moduli = _dual_moduli(*basis.shape, space)
-    rowspace = annihilator(basis, space.p)
+    rowspace = null_space(basis, space.p)
     p, sets, k = space.p, len(table_sets), len(table_sets[0])
     tables = np.array(table_sets, dtype=np.int64 if p == 2 else bool).reshape(sets * k, -1)
     if p == 2:  # the exact spectra, read by every prime; _walsh overwrote the 0/1 tables
@@ -597,5 +598,5 @@ def complexity1_check(rows, p: int) -> bool:
     flat = np.empty((k, m * m), dtype=np.int64)
     for i in range(k):
         col = basis[:, i]
-        flat[i] = np.outer(col, col).reshape(-1) % p
+        flat[i] = np.outer(col, col).reshape(-1)
     return rank(flat, p) == k

@@ -42,12 +42,11 @@ def _check_tables(fs: Sequence[np.ndarray], space: Space) -> list[np.ndarray]:
 
 
 def _coset_energy(fs: Sequence[np.ndarray], space: Space, sub: Subspace) -> float:
-    # the float energy.project_energy gives on Partition.from_cosets(space, sub); coset ids are already dense
+    # energy.project_energy on Partition.from_cosets(space, sub): ids are dense, each coset has p^dim(sub) points
     ids = space.coset_ids(sub)
-    counts = np.bincount(ids)
     energy = 0.0
     for f in fs:
-        pr = (np.bincount(ids, weights=f) / counts)[ids]
+        pr = (np.bincount(ids, weights=f) / space.p**sub.dim)[ids]
         energy += float((pr * pr).sum()) / space.size
     return energy
 

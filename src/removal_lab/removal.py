@@ -249,7 +249,7 @@ def _solve_offset_tuples(pattern: Pattern, b_sub: Subspace, part: np.ndarray, sp
     on F_p^dim B.
     """
     b_space = Space(space.p, b_sub.dim)
-    coords = (b_space.decode(solutions(pattern.rows, b_space)) + part) % space.p  # (count, k, dim B)
+    coords = b_space.decode(solutions(pattern.rows, b_space)) + part  # (count, k, dim B), reduced by encode
     return [tuple(int(x) for x in row) for row in space.encode(coords @ b_sub.basis)]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import removal_lab
-from removal_lab import cli
+from removal_lab import cli, regularize
 from removal_lab.patterns import Pattern, read_pattern, subpattern, write_family, write_pattern
 from removal_lab.ramsey import canonical_coloring
 from removal_lab.space import CAP_ENV_VAR, Coloring, Space, read_coloring, read_table, write_coloring, write_table
@@ -111,6 +111,20 @@ def test_fourier_coloring_and_table_routes(workdir, capsys):
     assert abs(mags[wit] - np.abs(transform(table, sp))[1:].max()) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_fourier_on_a_zero_dimensional_coloring(tmp_path, capsys, p):
+    write_coloring(tmp_path / "point.json", Coloring(Space(p, 0), 2, np.array([2])))
+    out_path = tmp_path / "mags.json"
+    code, out, _ = run_cli(
+        capsys, "fourier", "--coloring", str(tmp_path / "point.json"), "--color", "2", "--out", str(out_path)
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["norm"] == 0.0 and report["witness"] is None
+    mags, sp = read_table(out_path)
+    assert sp == Space(p, 0) and mags.tolist() == [1.0]
+
+
 def test_fourier_requires_exactly_one_source(workdir, capsys):
     code, _, err = run_cli(capsys, "fourier")
     assert code == 1 and "one of" in err
@@ -143,6 +157,17 @@ def test_regularize_and_model_reports(workdir, capsys):
         capsys, "model", "--coloring", str(workdir / "phi.json"), "--eps", "0.4", "--seed", "7"
     )
     assert out1 == out2  # same seed, byte-identical report
+
+
+def test_model_retry_cap_is_an_evidence_report(workdir, capsys, monkeypatch):
+    verify = regularize.verify_model
+    monkeypatch.setattr(regularize, "verify_model", lambda *args: {**verify(*args), "ok": False})
+    code, out, _ = run_cli(capsys, "model", "--coloring", str(workdir / "phi.json"), "--eps", "0.4")
+    assert code == 2
+    evidence = json.loads(out)
+    assert evidence["error"] == "RetryCapError" and evidence["attempts"] == 64
+    assert [s["attempt"] for s in evidence["stats"]] == list(range(64))
+    assert not any("cosets" in s for s in evidence["stats"])
 
 
 def test_recolor_writes_coloring_and_is_deterministic(workdir, capsys):
@@ -579,6 +604,12 @@ def test_console_entry_point_runs():
         (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1, "1", 1]], "psi": [1, 1, 1]}'),
         (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1, 1, 1]], "psi": [1, "2", 1]}'),
         (["dichotomy", "--family"], "fam.json", '[{"p": 5, "r": "1", "rows": [[1, 1, 1]], "psi": [1, 1, 1]}]\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "r": 2}\n1\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": -1, "r": 2}\n1\n'),
+        (["regularize", "--eps", "0.3", "--coloring"], "c.json", '{"p": 2, "n": 1e999, "r": 2}\n1\n2\n'),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[1, 1, 1]]}'),
+        (["stats", "--coloring", "phi.json", "--pattern"], "h.json", '{"p": 2, "r": 2, "rows": [[' + str(10**23) + ', 1, 1]], "psi": [1, 1, 1]}'),
+        (["reduce", "--offsets", "1", "--coloring", "phi.json", "--family"], "fam3.json", '[{"p": 3, "r": 2, "rows": [[1, 1, 1]], "psi": [1, 1, 1]}]\n'),
     ],
     ids=[
         "family-not-objects", "p-is-list", "psi-not-list", "null-in-rows", "header-not-object", "null-header-field",
@@ -587,7 +618,8 @@ def test_console_entry_point_runs():
         "two-colors-on-the-only-line", "two-values-on-the-only-table-line",
         "fraction-in-rows", "fractional-header-n", "boolean-header-n",
         "arabic-indic-digit-header-n", "underscored-string-header-n", "string-pattern-p", "string-in-rows",
-        "string-in-psi", "string-family-r",
+        "string-in-psi", "string-family-r", "header-missing-n", "negative-header-n", "infinite-header-n",
+        "pattern-missing-psi", "row-entry-past-int64", "family-on-another-field",
     ],
 )
 def test_malformed_json_exits_one(workdir, capsys, argv, name, text):
@@ -596,6 +628,8 @@ def test_malformed_json_exits_one(workdir, capsys, argv, name, text):
     code, out, err = run_cli(capsys, *argv, str(workdir / name))
     assert code == 1
     assert out == "" and err.startswith("error:")
+    if argv[0] == "reduce":
+        assert err == "error: pattern and coloring disagree on (p, r)\n"
 
 
 def _run_subprocess(tmp_path, *argv):

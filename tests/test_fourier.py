@@ -125,6 +125,17 @@ def test_transform_roundtrip_and_parseval():
         assert abs((np.abs(hat) ** 2).sum() - (np.abs(f) ** 2).mean()) <= TOL
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_transform_of_dimension_zero_is_a_new_equal_array(p):
+    sp = Space(p, 0)
+    for f in (np.array([2.5]), np.array([2.5 - 1j])):
+        before = f.copy()
+        for direction in ("forward", "inverse"):
+            out = transform(f, sp, direction)
+            assert np.array_equal(out, f) and not np.shares_memory(out, f)
+            assert np.array_equal(f, before)
+
+
 def test_transform_validates_input():
     sp = Space(3, 2)
     with pytest.raises(ValueError):
@@ -135,6 +146,12 @@ def test_transform_validates_input():
         transform(np.zeros(4), Space(2, 2), "sideways")
     with pytest.raises(ValueError):
         transform(np.ones(1), Space(2, 0), "bogus")
+    # the norm kernels read one value per point: a longer table is refused, not cut short
+    for values in (np.zeros(8), np.zeros(10)):
+        with pytest.raises(ValueError):
+            regularity_norm(values, sp)
+        with pytest.raises(ValueError):
+            batch_coset_norms(values, sp, Subspace.full(3, 2), [0])
 
 
 def test_constant_function_has_zero_regularity_norm():
@@ -158,6 +175,24 @@ def test_regularity_norm_dimension_zero():
     sp = Space(3, 0)
     norm, wit = regularity_norm(np.array([2.5]), sp)
     assert norm == 0.0 and wit is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_regularity_norm_is_bit_equal_to_the_transform_argmax(p):
+    """The whole-space norm on batch_coset_norms is the one the transform gives: abs, entry 0 at -1, argmax."""
+    rng = np.random.default_rng(p)
+    for n in range(6):
+        sp = Space(p, n)
+        for kind in ("01", "float"):
+            f = random_tables(rng, kind, sp.size)
+            if n == 0:
+                assert regularity_norm(f, sp) == (0.0, None)
+                continue
+            mags = np.abs(transform(f, sp))
+            mags[0] = -1.0
+            z = int(np.argmax(mags))
+            norm, wit = regularity_norm(f, sp)
+            assert (norm, wit) == (float(mags[z]), z) and type(norm) is float and type(wit) is int
 
 
 def test_batch_coset_norms_matches_restrictions():

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from removal_lab import patterns, ramsey
-from removal_lab.errors import ResourceCapError
+from removal_lab.errors import ResourceCapError, VerificationError
 from removal_lab.fields import null_space
 from removal_lab.patterns import Pattern, first_instance, iter_solution_chunks, pattern_stats, subpattern_closure
 from removal_lab.ramsey import ChiCertificate, Dichotomy, _class_table, canonical_coloring, decide_dichotomy
@@ -94,6 +94,30 @@ def test_case_b_witness_is_lex_first_failing_chi():
             break
     assert expected is not None
     assert out.case == "B" and out.chi == expected
+
+
+@pytest.mark.parametrize(
+    "instance,message",
+    [((1, 1, 3), "violates the linear relations"), ((0, 0, 0), "touches zero"), ((2, 2, 2), "colors do not match")],
+    ids=["not-a-solution", "touches-zero", "wrong-color"],
+)
+def test_certificate_defects_are_refused_with_the_instance(instance, message):
+    # on F_3^3 under chi (1, 2), point 1 = e_0 and point 3 = e_1 take color 1, point 2 = 2 e_0 color 2
+    col = canonical_coloring(Space(3, 3), (1, 2))
+    h = Pattern(3, 2, [[1, 1, 1]], (1, 1, 1))
+    ramsey._check_certificate(h, col, (1, 1, 1))
+    with pytest.raises(VerificationError, match=message) as info:
+        ramsey._check_certificate(h, col, instance)
+    assert info.value.evidence == instance
+
+
+def test_case_b_recount_disagreement_is_refused_with_the_chi(monkeypatch):
+    fam = [Pattern(3, 2, [[1, 1, 1]], (1, 1, 1))]
+    chi = decide_dichotomy(fam).chi
+    monkeypatch.setattr(ramsey, "count_matches", lambda basis, table_sets, space: [1] * len(table_sets))
+    with pytest.raises(VerificationError, match="recount disagrees") as info:
+        decide_dichotomy(fam)
+    assert info.value.evidence == chi
 
 
 def test_case_a_has_certificate_for_every_chi():

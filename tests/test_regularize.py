@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from removal_lab import regularize
 from removal_lab.energy import Partition, project_energy
-from removal_lab.errors import SpaceExhaustedError
+from removal_lab.errors import RetryCapError, SpaceExhaustedError
 from removal_lab.fields import Subspace
 from removal_lab.fourier import batch_coset_norms
 from removal_lab.ramsey import canonical_coloring
 from removal_lab.regularize import (
+    _coset_energy,
     green_regularize,
     regular_model,
     regularity_recolor,
@@ -124,6 +126,18 @@ def test_strong_regularize_reaches_stable_pair():
     assert rep.stages[0].codim <= rep.stages[-1].codim
 
 
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 4), (5, 3)])
+def test_coset_energy_is_bit_equal_to_project_energy(p, n):
+    rng = np.random.default_rng(10 * p + n)
+    sp = Space(p, n)
+    subs = [Subspace.zero(p, n), Subspace.full(p, n)]
+    subs += [Subspace.from_rows(p, n, rng.integers(0, p, (d, n))) for d in range(1, n) for _ in range(2)]
+    for kind in ("unit", "indicator"):
+        fs = random_tables(rng, sp, 3, kind)
+        for sub in subs:
+            assert _coset_energy(fs, sp, sub) == project_energy(Partition.from_cosets(sp, sub), fs)[1]
+
+
 def test_strong_stage_energies_are_the_measured_coset_energies():
     # (2, 6): the last pass makes rounds; (3, 4): it makes none and keeps the energy;
     # (5, 4): 625 cosets, under a lower eps cap since every coefficient here is about 1/5
@@ -202,6 +216,18 @@ def test_regular_model_trivializes_when_codim_need_exceeds_n():
     assert_cosets_of(model, sp)
 
 
+def test_regular_model_raises_retry_cap_after_64_failed_attempts(monkeypatch):
+    verify = regularize.verify_model
+    monkeypatch.setattr(regularize, "verify_model", lambda *args: {**verify(*args), "ok": False})
+    sp = Space(3, 4)
+    fs = random_tables(np.random.default_rng(52), sp, 2, "indicator")
+    with pytest.raises(RetryCapError) as info:
+        regular_model(fs, sp, Subspace.full(3, 4), 0.35, seed=9)
+    assert info.value.attempts == 64
+    assert [s["attempt"] for s in info.value.stats] == list(range(64))
+    assert not any("cosets" in s or s["ok"] for s in info.value.stats)
+
+
 def test_regular_model_rejects_unknown_backend():
     # strong regularization is the only route: there is no backend to choose
     sp = Space(2, 2)
@@ -263,17 +289,31 @@ def test_recolor_plain_mode_budget_and_conditions():
     assert rep.eps_prime_final == 0.2
 
 
-def test_recolor_sequence_mode_fixpoint():
-    sp = Space(2, 6)
-    rng = np.random.default_rng(72)
-    col = Coloring(sp, 3, rng.integers(1, 4, sp.size).astype(np.int64))
-    eps_prime = lambda d: 1.0 / (d + 2)
-    rep = regularity_recolor(col, 0.5, eps_prime, seed=1)
-    assert rep.mode == "sequence"
-    assert rep.eps_prime_final == eps_prime(rep.model.v1.codim)
-    assert rep.conditions["restriction_regularity_ok"]
-    assert_cosets_of(rep.model, sp)  # the last model of the fixpoint loop, not an earlier one
-    assert rep.conditions["max_restriction_norm"] <= rep.eps_prime_final + TOL
+def test_recolor_sequence_mode_fixpoint(monkeypatch):
+    models = []
+    model_of = regularize.regular_model
+
+    def recording_model(fs, space, v0, eps, **kwargs):
+        models.append((eps, model_of(fs, space, v0, eps, **kwargs)))
+        return models[-1][1]
+
+    monkeypatch.setattr(regularize, "regular_model", recording_model)
+    # F_2^6: the first guess is the fixpoint; F_2^10: eps' drops past codim 2, so the loop takes a second pass
+    for n, r, eps_prime, passes in [
+        (6, 3, lambda d: 1.0 / (d + 2), [(0.5 / 12, 6)]),
+        (10, 2, lambda d: 1.0 if d <= 2 else 1e-3, [(0.0625, 10), (1e-3, 10)]),
+    ]:
+        sp = Space(2, n)
+        rng = np.random.default_rng(72)
+        col = Coloring(sp, r, rng.integers(1, r + 1, sp.size).astype(np.int64))
+        models.clear()
+        rep = regularity_recolor(col, 0.5, eps_prime, seed=1)
+        assert [(eps, model.v1.codim) for eps, model in models] == passes
+        assert rep.mode == "sequence" and rep.model is models[-1][1]
+        assert rep.eps_prime_final == eps_prime(rep.model.v1.codim)
+        assert rep.conditions["ok"] and rep.conditions["restriction_regularity_ok"]
+        assert_cosets_of(rep.model, sp)  # the last model of the fixpoint loop, not an earlier one
+        assert rep.conditions["max_restriction_norm"] <= rep.eps_prime_final + TOL
 
 
 def test_recolor_same_seed_same_output():
