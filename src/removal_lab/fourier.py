@@ -72,6 +72,7 @@ def transform(values: np.ndarray, space: Space, direction: str = "forward") -> n
 
 def regularity_norm(values: np.ndarray, space: Space) -> tuple[float, int | None]:
     """(max_{z != 0} |fhat(z)|, smallest maximizing z), z None when n = 0: batch_coset_norms of the coset 0 + V."""
+    values = np.asarray(values, dtype=np.float64).reshape(space.size)  # ValueError unless one value per point
     if space.n == 0:
         return 0.0, None
     norms, wits = batch_coset_norms(values, space, Subspace.full(space.p, space.n), [0])

@@ -32,9 +32,19 @@ finite-field FFT of Pollard (1971), run in stages as fourier._walsh runs its
 butterfly: at odd p stage c applies the p x p matrix omega^(ab) along
 coordinate c and reduces mod q.  At p = 2, omega = -1 for every q, so F_i is
 the integer Walsh-Hadamard transform: _walsh computes it once, exactly in
-int64, and every prime reads its residues from it.  C^perp is listed by the
-same kernel, iter_solution_chunks on the basis R = fields.null_space(N): a
-sum of residues depends neither on the basis of C^perp nor on its order.
+int64, and every prime reads its residues from it.
+
+A count costs about what its distinct tables cost.  Tables with the same key,
+their entries 1 and up, share one transform: the point mass at 0 transforms
+to all ones at every p, so F_t = F_key + t(0), F_key the spectrum of the key's
+table with entry 0 cleared.  generic_count keeps the spectra of its own tables
+for its whole sum; a merged table is transformed per call.  C^perp is never
+listed for a point or a line: with R = fields.null_space(N) of l rows, l = 0
+leaves the tuple 0, and a set counts the product of its table sizes; l = 1
+gives C^perp = {y r : y in V}, whose column i is F_i itself at r_i = 1, the
+constant F_i(0) at r_i = 0, and F_i at the points r_i y otherwise.  Only at
+l >= 2 is C^perp listed, by iter_solution_chunks on R: a sum of residues
+depends neither on the basis of C^perp nor on its order.
 
 Before routing, count_matches merges columns: a zero column of N fixes x_i = 0
 and a column c times an earlier one fixes x_j = c x_i, so each folds into the
@@ -46,12 +56,14 @@ enumeration otherwise; both are exact, so the choice never changes a count.
 _route picks it from the merged shape (m, k') and the space alone and refuses
 its work past ENUMERATION_CAP, and generic_count checks every merged shape a
 term can have, so it refuses a Moebius sum before its first term, never
-part-way.
+part-way.  Its tables all clear entry 0, so a term with a zero column counts
+0; generic_count drops such terms before count_matches.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -245,7 +257,9 @@ def _modulus(p: int, j: int) -> tuple[int, int]:
     return q, omega
 
 
-def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+def count_matches(
+    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, *, spectra: dict | None = None
+) -> list[int]:
     """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
     basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
@@ -254,13 +268,17 @@ def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]],
     then _route reads the merged shape (m, k'), picks the dual route (see the
     module docstring) or enumeration, and refuses either past ENUMERATION_CAP
     before it starts.  A set that the merge finds dead counts 0 unrouted.
+    The dual route lists no point or line C^perp and transforms each distinct
+    table once (see _dual_count).  spectra, if given, maps table keys to their
+    spectra by prime; the dual route reads and fills the keys it holds, so a
+    caller keeps them across calls, as generic_count does for a sum.
     """
     basis, merged = _merge_columns(basis, table_sets, space)
     live = [tables for tables in merged if tables is not None]
     if not live:
         return [0] * len(merged)
     if _route(*basis.shape, space):
-        counts = _dual_count(basis, live, space)
+        counts = _dual_count(basis, live, space, spectra)
     else:
         counts = [0] * len(live)
         for xs in iter_solution_chunks(basis, space):
@@ -337,40 +355,123 @@ def _dual_moduli(m: int, k: int, space: Space) -> list[tuple[int, int]]:
     return moduli
 
 
-def _dual_count(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
+def _dual_count(
+    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, spectra: dict | None = None
+) -> list[int]:
     """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
 
+    C^perp has l = k - m dimensions.  At l = 0 it is the tuple 0, and x = t N is a bijection
+    of V^m, so a set counts prod_i F_i(0), the product of its table sizes, exactly.  Else
+    R = null_space(N) has l rows, and a column that is 0 on all of C^perp is the constant
+    factor F_i(0), exactly.  At l = 1, C^perp = {y r : y in V}, so a column reads F_i itself
+    at r_i = 1 and F_i at the points r_i y otherwise, in blocks of at most 2^17 points y, as
+    the kernel chunks.  At l >= 2 iter_solution_chunks lists C^perp.  Each block serves every
+    prime, and each factor is one 1-D gather from a spectrum reduced mod q, done once per
+    distinct table and column.  The spectra come from _key_spectra, one transform per key;
+    spectra is its per-sum store, kept by generic_count.
+
     int64 never overflows: at odd p a stage sums p products of residues, under p q^2 < 2^63
-    for p <= DUAL_MAX_P; at p = 2 a residue times a Walsh entry in [-|V|, |V|] is under
-    q |V| < 2^63 for |V| < 2^34, past every table that fits in memory.
+    for p <= DUAL_MAX_P; a factor is a residue, or a residue plus 1, so a product of two is
+    under 2^58, and a block sums at most 2^17 residues below 2^29.
     """
-    moduli = _dual_moduli(*basis.shape, space)
+    if basis.shape[0] == basis.shape[1]:  # l = 0: x = t N is a bijection of V^m
+        return [math.prod(int(np.count_nonzero(t)) for t in tables) for tables in table_sets]
     rowspace = null_space(basis, space.p)
-    p, sets, k = space.p, len(table_sets), len(table_sets[0])
-    tables = np.array(table_sets, dtype=np.int64 if p == 2 else bool).reshape(sets * k, -1)
-    if p == 2:  # the exact spectra, read by every prime; _walsh overwrote the 0/1 tables
-        tables = _walsh(tables)
-    counts, modulus = [0] * sets, 1
-    for q, omega in moduli:
-        spectrum = tables
-        if p != 2:
-            w = np.array([[pow(omega, a * b, q) for b in range(p)] for a in range(p)], dtype=np.int64)
-            for c in range(space.n):  # the length-p DFT along coordinate c, the digit of stride p^c
-                spectrum = (w @ spectrum.reshape(sets * k, -1, p, p**c)).reshape(sets * k, -1)
-                spectrum %= q
-        spectrum = spectrum.reshape(sets, k, -1)
-        acc = np.zeros(sets, dtype=np.int64)
-        for zs in iter_solution_chunks(rowspace, space):
-            prod = spectrum[:, 0, zs[:, 0]] % q
-            for i in range(1, k):
-                prod = prod * spectrum[:, i, zs[:, i]] % q
-            acc = (acc + prod.sum(axis=1)) % q  # a chunk sums at most 2^17 residues < 2^29
+    moduli = _dual_moduli(*basis.shape, space)
+    keys: dict[bytes, int] = {}  # a table's key -> its index in bases
+    bases, refs = [], []  # one table per key; per set, (key index, t(0)) per column
+    for tables in table_sets:
+        row = []
+        for t in tables:
+            j = keys.setdefault(_spectrum_key(t), len(keys))
+            if j == len(bases):
+                bases.append(t)
+            row.append((j, int(t[0])))
+        refs.append(row)
+    key_spectra = _key_spectra(list(keys), bases, moduli, space, spectra)
+    live = rowspace.any(axis=0)  # the columns not constantly 0 on C^perp
+    consts = [math.prod(int(np.count_nonzero(t)) for t, on in zip(tables, live) if not on) for tables in table_sets]
+    rows = rowspace[:, live]
+    if rows.shape[0] == 1:
+        blocks = _line_columns(rows[0], space)
+    else:  # each form's index column, read in place: a transposed copy of a 2^17-row chunk cost more than it saved
+        blocks = (zs.T for zs in iter_solution_chunks(rows, space))
+    cols = np.flatnonzero(live).tolist()
+    acc = [[0] * len(table_sets) for _ in moduli]
+    for zs in blocks:
+        for (q, _), spectrum, sums in zip(moduli, key_spectra, acc):
+            prods = [None] * len(refs)
+            for i, z in zip(cols, zs):
+                gathered: dict[int, np.ndarray] = {}  # key -> its factor in column i, shared by the sets
+                for j, row in enumerate(refs):
+                    key, t0 = row[i]
+                    f = gathered.get(key)
+                    if f is None:
+                        f = gathered[key] = spectrum[key][z]
+                    if t0:  # F = F_key + t(0)
+                        f = f + 1
+                    prods[j] = f if prods[j] is None else prods[j] * f % q
+            for j, prod in enumerate(prods):
+                sums[j] = (sums[j] + int(prod.sum())) % q
+    counts, modulus = [0] * len(table_sets), 1
+    for (q, _), sums in zip(moduli, acc):
         scale = pow(space.size ** rowspace.shape[0], -1, q)
-        for j, a in enumerate(acc.tolist()):
+        for j, (a, c) in enumerate(zip(sums, consts)):
             # Chinese remainder step: the count mod modulus * q from the count mod modulus and mod q
-            counts[j] += modulus * ((a * scale - counts[j]) * pow(modulus, -1, q) % q)
+            counts[j] += modulus * ((a * c * scale - counts[j]) * pow(modulus, -1, q) % q)
         modulus *= q
     return counts
+
+
+def _line_columns(r: np.ndarray, space: Space) -> Iterator[list]:
+    """Per block of at most 2^17 points y, in index order, the indices of the points r_i y, one per entry of r != 0.
+
+    An entry 1 gives the block itself as a slice, so its factor is a view; each other
+    value is one scale_points map per block.
+    """
+    for start in range(0, space.size, 1 << 17):
+        ys = slice(start, min(start + (1 << 17), space.size))
+        maps = {c: space.scale_points(c, np.arange(ys.start, ys.stop)) for c in set(r.tolist()) - {1}}
+        yield [ys if c == 1 else maps[c] for c in r.tolist()]
+
+
+def _spectrum_key(table: np.ndarray) -> bytes:
+    """The bytes of a table's entries 1 and up; tables with one key share a transform."""
+    return table[1:].tobytes()
+
+
+def _key_spectra(
+    keys: list[bytes], tables: list[np.ndarray], moduli: list[tuple[int, int]], space: Space, spectra: dict | None
+) -> list[list[np.ndarray]]:
+    """Per prime q, the spectrum mod q of each key's table with entry 0 cleared, F_key.
+
+    The point mass at 0 transforms to all ones at every p, so a table t of that key has
+    the spectrum F_key + t(0).  Each key is transformed once.  spectra maps a key to its
+    spectra by prime: a key it holds is read from there, or transformed once and stored
+    there, for the rest of a sum; any other key is transformed for this call only.
+    """
+    p = space.p
+    store = {} if spectra is None else spectra
+    todo = [i for i, key in enumerate(keys) if any(q not in store.get(key, {}) for q, _ in moduli)]
+    by_key: list[dict[int, np.ndarray]] = [store.get(key, {}) for key in keys]
+    if todo:
+        a = np.array([tables[i] for i in todo], dtype=np.int64)
+        a[:, 0] = 0
+        if p == 2:  # the exact spectra, read by every prime; _walsh overwrote a
+            a = _walsh(a)
+        for q, omega in moduli:
+            spectrum = a
+            if p == 2:
+                spectrum = a % q
+            else:
+                w = np.array([[pow(omega, x * y, q) for y in range(p)] for x in range(p)], dtype=np.int64)
+                for c in range(space.n):  # the length-p DFT along coordinate c, the digit of stride p^c
+                    spectrum = (w @ spectrum.reshape(len(todo), -1, p, p**c)).reshape(len(todo), -1)
+                    spectrum %= q
+            for i, row in zip(todo, spectrum):
+                # a stored row is a copy, so that the call's other spectra are freed with the call
+                by_key[i][q] = row.copy() if keys[i] in store else row
+    return [[spectra_q[q] for spectra_q in by_key] for q, _ in moduli]
 
 
 # --- lambda counts ----------------------------------------------------------
@@ -503,9 +604,15 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     rank since B_U and N are, so it takes the dual route when k - dim U < dim U.
     For m > n no m points of V are independent, so the count is 0 at once.
 
+    The terms of one dim U are built as one array.  Since the tables clear entry
+    0, a term with a zero column counts 0, so only terms without one reach
+    count_matches.  All terms share one spectra store holding the k tables'
+    keys: each is transformed once per prime for the whole sum, while a table
+    that a term merges is transformed per call, so the store holds at most k
+    spectra per prime.
+
     A term is counted on its merged shape (dim U, k'): count_matches folds its
-    zero and parallel columns first, and since the tables clear entry 0, a term
-    with a zero column counts 0 unrouted.  Its k' distinct directions in
+    parallel columns first.  Its k' distinct directions in
     F_p^(dim U) number at most min(k, (p^dim U - 1)/(p - 1)), so checking the
     route of every such shape refuses the sum before its first term, with the
     report of the first refused shape in summation order.  A term may be
@@ -523,11 +630,13 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
         for merged_k in range(min(k, (p**u - 1) // (p - 1)), u - 1, -1):
             _route(u, merged_k, space)
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
+    spectra = {_spectrum_key(t): {} for t in tables}  # the own tables' spectra, kept for the whole sum
     total = nonzero
     for d in range(1, m):
         mu = (-1) ** d * p ** (d * (d - 1) // 2)
-        for b in subspace_bases(m, m - d, p):
-            total += mu * count_matches(b @ pattern.null_basis % p, [tables], space)[0]
+        terms = np.stack(list(subspace_bases(m, m - d, p))) @ pattern.null_basis % p
+        for term in terms[terms.any(axis=1).all(axis=1)]:  # a term with a zero column counts 0
+            total += mu * count_matches(term, [tables], space, spectra=spectra)[0]
     return total
 
 

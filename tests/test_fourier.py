@@ -175,6 +175,11 @@ def test_regularity_norm_dimension_zero():
     sp = Space(3, 0)
     norm, wit = regularity_norm(np.array([2.5]), sp)
     assert norm == 0.0 and wit is None
+    assert regularity_norm(np.zeros(1), sp) == (0.0, None)
+    # F_p^0 has one point, so a table of any other length is refused before the early return
+    for values in (np.zeros(5), np.zeros(0)):
+        with pytest.raises(ValueError):
+            regularity_norm(values, sp)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

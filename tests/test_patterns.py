@@ -307,9 +307,9 @@ def _spy_dual_routes(monkeypatch):
     routes = []
     dual_count = patterns._dual_count
 
-    def spy(basis, table_sets, space):
+    def spy(basis, table_sets, space, *rest):
         routes.append(basis.shape)
-        return dual_count(basis, table_sets, space)
+        return dual_count(basis, table_sets, space, *rest)
 
     monkeypatch.setattr(patterns, "_dual_count", spy)
     return routes
@@ -433,6 +433,56 @@ def test_column_merge_edge_cases(monkeypatch):
     assert count_matches(basis, [cleared, cleared], sp) == [0, 0]
 
 
+@st.composite
+def dual_cases(draw):
+    """(basis, folded, table_sets, space): an (m, m + l) basis of full row rank with l in {0, 1, 2} and
+    l < m, the same basis with forced zero and parallel columns, and table sets for each.
+
+    The tables are drawn from a pool of one to three, so sets repeat tables; a drawn table may
+    have entry 0 flipped, so tables differ only at entry 0.  The folded basis makes count_matches
+    merge tables before its dual count.
+    """
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]))
+    sp = Space(p, n)
+    l = draw(st.integers(0, 2))
+    m = draw(st.integers(l + 1, 3))
+    free = draw(st.lists(st.integers(0, p - 1), min_size=m * l, max_size=m * l))
+    columns = np.hstack([np.eye(m, dtype=np.int64), np.array(free, dtype=np.int64).reshape(m, l)]).T.tolist()
+    basis = np.array([columns[j] for j in draw(st.permutations(range(m + l)))], dtype=np.int64).T
+    extra = []
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.integers(0, p - 1))  # c = 0 is a zero column
+        extra.append(c * basis[:, draw(st.integers(0, m + l - 1))] % p)
+    folded = np.hstack([basis] + [col[:, None] for col in extra])
+    marks = st.lists(st.booleans(), min_size=sp.size, max_size=sp.size)
+    pool = [np.array(draw(marks)) for _ in range(draw(st.integers(1, 3)))]
+    table_sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        tables = []
+        for _ in range(folded.shape[1]):
+            table = pool[draw(st.integers(0, len(pool) - 1))].copy()
+            if draw(st.booleans()):
+                table[0] = not table[0]
+            tables.append(table)
+        table_sets.append(tables)
+    return basis, folded, table_sets, sp
+
+
+@given(dual_cases())
+@settings(max_examples=200, deadline=None)
+def test_dual_count_on_points_lines_and_planes(case):
+    basis, folded, table_sets, sp = case
+    k = basis.shape[1]
+    direct = [tables[:k] for tables in table_sets]
+    want = [_mask_count(basis, tables, sp) for tables in direct]
+    assert patterns._dual_count(basis, direct, sp) == want
+    # a store that holds some keys is filled on the first call and read on the second
+    store = {patterns._spectrum_key(t): {} for t in direct[0][::2]}
+    assert patterns._dual_count(basis, direct, sp, store) == want
+    assert patterns._dual_count(basis, direct, sp, store) == want
+    assert count_matches(folded, table_sets, sp) == [_mask_count(folded, tables, sp) for tables in table_sets]
+
+
 # --- stats ------------------------------------------------------------------
 
 
@@ -526,6 +576,98 @@ def test_moebius_sum_refused_before_its_first_term(monkeypatch):
     assert exc.value.requested == 2**27
     assert exc.value.cap == ENUMERATION_CAP
     assert counted == []
+
+
+def _sum_input(name):
+    """The pattern and coloring of a stats golden: sum5_f2 or chain5_f3 (tests/test_golden.py's write_inputs)."""
+    rng = np.random.default_rng(1)
+    col2 = Coloring(Space(2, 4), 2, rng.integers(1, 3, 16).astype(np.int64))
+    if name == "sum5_f2":
+        return Pattern(2, 2, [[1, 1, 1, 1, 1]], (1,) * 5), col2
+    return Pattern(3, 3, CHAIN5, (1, 2, 1, 2, 1)), Coloring(Space(3, 4), 3, rng.integers(1, 4, 81).astype(np.int64))
+
+
+def test_moebius_sum_lists_no_point_or_line_and_transforms_its_tables_once(monkeypatch):
+    h, col = _sum_input("sum5_f2")
+    duals, listed, walshed = [], [], []
+    dual_count, enumerate_, walsh = patterns._dual_count, patterns.iter_solution_chunks, patterns._walsh
+
+    def dual_spy(basis, *rest):
+        duals.append(basis.shape[1] - basis.shape[0])
+        try:
+            return dual_count(basis, *rest)
+        finally:
+            duals.append(None)
+
+    def enumerate_spy(basis, space):
+        if duals and duals[-1] is not None:  # inside a dual count
+            listed.append(basis.shape[0])
+        return enumerate_(basis, space)
+
+    def walsh_spy(a):
+        walshed.extend(row.copy() for row in a)
+        return walsh(a)
+
+    terms, count = [], patterns.count_matches
+
+    def count_spy(basis, *rest, **kw):
+        terms.append(basis)
+        return count(basis, *rest, **kw)
+
+    monkeypatch.setattr(patterns, "_dual_count", dual_spy)
+    monkeypatch.setattr(patterns, "iter_solution_chunks", enumerate_spy)
+    monkeypatch.setattr(patterns, "_walsh", walsh_spy)
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    walshed.clear()
+    monkeypatch.setattr(patterns, "count_matches", count_spy)
+    assert generic_count(h, col, nonzero) == 480  # the golden's generic_instances
+    # a term with a zero column counts 0 and is dropped before count_matches
+    assert terms and all(term.any(axis=0).all() for term in terms)
+    dims = [l for l in duals if l is not None]
+    assert dims.count(1) > 1  # the main count and the sum count lines
+    assert listed == [l for l in dims if l >= 2]
+    # the sum's own table, entry 0 cleared, is transformed once: one Walsh spectrum serves every prime
+    own = color_tables(col, h.psi, require_nonzero=True)[0].astype(np.int64)
+    assert sum(np.array_equal(row, own) for row in walshed) == 1
+
+
+def test_moebius_sum_keeps_only_its_own_spectra(monkeypatch):
+    # chain5 on F_3^4: terms merge x_j = 2 x_i into tables of their own, transformed per call
+    h, col = _sum_input("chain5_f3")
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    stores, unkept, key_spectra = [], [], patterns._key_spectra
+
+    def spy(keys, tables, moduli, space, spectra):
+        out = key_spectra(keys, tables, moduli, space, spectra)
+        stores.append({(key, q): id(s) for key, by_q in spectra.items() for q, s in by_q.items()})
+        unkept.extend(set(keys) - set(spectra))
+        return out
+
+    monkeypatch.setattr(patterns, "_key_spectra", spy)
+    generic_count(h, col, nonzero)
+    own = {patterns._spectrum_key(t) for t in color_tables(col, h.psi, require_nonzero=True)}
+    assert unkept  # some terms count merged tables
+    assert {key for key, _ in stores[-1]} == own
+    # a kept spectrum is computed once and read by every later term
+    for before, after in zip(stores, stores[1:]):
+        assert after.items() >= before.items()
+
+
+def test_moebius_sum_memory_is_bounded_by_its_own_spectra():
+    # x1+...+x5 = 0 on F_2^12, the largest F_2^n whose sum is not refused up front. The store
+    # keeps 2 keys x 2 primes; the first term adds their Walsh spectra, the copies it stores and
+    # a block's products. The peak reads 15.7 tables of int64 here, against 15.3 without a store.
+    sp = Space(2, 12)
+    h = Pattern(2, 2, [[1] * 5], (1, 2, 1, 2, 1))
+    col = Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    tracemalloc.start()
+    try:
+        generic_count(h, col, nonzero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * sp.size * 8
 
 
 def test_stats_require_matching_field_and_colors():
