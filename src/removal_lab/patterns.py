@@ -54,10 +54,10 @@ x2+x3+x4 = 0) or a Moebius term with fewer directions than columns is thus
 counted on k' forms.  Route: the dual when l' = k' - m < m and p <= 31,
 enumeration otherwise; both are exact, so the choice never changes a count.
 _route picks it from the merged shape (m, k') and the space alone and refuses
-its work past ENUMERATION_CAP, and generic_count checks every merged shape a
-term can have, so it refuses a Moebius sum before its first term, never
-part-way.  Its tables all clear entry 0, so a term with a zero column counts
-0; generic_count drops such terms before count_matches.
+its work past ENUMERATION_CAP.  generic_count's tables all clear entry 0, so
+a term with a zero column counts 0 and is dropped; each live term's merged
+shape is routed before the first count, so a Moebius sum is refused whole,
+never part-way.
 """
 
 from __future__ import annotations
@@ -601,7 +601,8 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
 
     B_U the RREF basis of U.  U = F_p^m contributes nonzero and U = 0 nothing;
     every other term is count_matches on the parametrization B_U N, of full row
-    rank since B_U and N are, so it takes the dual route when k - dim U < dim U.
+    rank since B_U and N are, so it takes the dual route when k' - dim U < dim U,
+    k' its merged column count.
     For m > n no m points of V are independent, so the count is 0 at once.
 
     The terms of one dim U are built as one array.  Since the tables clear entry
@@ -611,31 +612,26 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     that a term merges is transformed per call, so the store holds at most k
     spectra per prime.
 
-    A term is counted on its merged shape (dim U, k'): count_matches folds its
-    parallel columns first.  Its k' distinct directions in
-    F_p^(dim U) number at most min(k, (p^dim U - 1)/(p - 1)), so checking the
-    route of every such shape refuses the sum before its first term, with the
-    report of the first refused shape in summation order.  A term may be
-    refused where the main count was not: x1+...+x4 = 0 on F_5^6 has its 5^18
-    solutions counted on the dual code, but a dim-2 term with 4 pairwise
-    independent columns needs 5^12 tuples by either route.  Over F_2 the same
-    equation answers on F_2^14, as a dim-2 term keeps at most 3 columns.
+    Each live term's merged shape is routed before the first count, so a sum is
+    refused whole, with the report of its first refused term in summation order.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
-    m, k = pattern.num_free, pattern.k
+    m = pattern.num_free
     if nonzero == 0 or m > space.n:
         return 0
-    for u in range(m - 1, 0, -1):
-        for merged_k in range(min(k, (p**u - 1) // (p - 1)), u - 1, -1):
-            _route(u, merged_k, space)
+    sums = []  # per d = m - dim U: (mu_U, its live terms), in summation order
+    for d in range(1, m):
+        terms = np.stack(list(subspace_bases(m, m - d, p))) @ pattern.null_basis % p
+        live = terms[terms.any(axis=1).all(axis=1)]  # a term with a zero column counts 0
+        for term in live:
+            _route(*_merge_columns(term, [], space)[0].shape, space)
+        sums.append(((-1) ** d * p ** (d * (d - 1) // 2), live))
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
     spectra = {_spectrum_key(t): {} for t in tables}  # the own tables' spectra, kept for the whole sum
     total = nonzero
-    for d in range(1, m):
-        mu = (-1) ** d * p ** (d * (d - 1) // 2)
-        terms = np.stack(list(subspace_bases(m, m - d, p))) @ pattern.null_basis % p
-        for term in terms[terms.any(axis=1).all(axis=1)]:  # a term with a zero column counts 0
+    for mu, terms in sums:
+        for term in terms:
             total += mu * count_matches(term, [tables], space, spectra=spectra)[0]
     return total
 

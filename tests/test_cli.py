@@ -433,6 +433,22 @@ def test_stats_counts_moebius_terms_on_merged_columns(workdir, capsys, p, n, row
     assert elapsed < 2.0
 
 
+def test_stats_of_a_five_term_sum_answers_on_f2_14(workdir, capsys):
+    # x1+...+x5 = 0 on F_2^14: its live Moebius terms merge to (3, 4) and (2, 3) only, so none
+    # needs the 2^28 products of a (3, 5) dual count. On the all-ones coloring a generic solution
+    # is 4 independent points and their sum
+    sp = Space(2, 14)
+    write_pattern(workdir / "sum5.json", Pattern(2, 2, [[1] * 5], (1,) * 5))
+    write_coloring(workdir / "ones.json", Coloring(sp, 2, np.ones(sp.size, dtype=np.int64)))
+    code, out, _ = run_cli(
+        capsys, "stats", "--pattern", str(workdir / "sum5.json"), "--coloring", str(workdir / "ones.json")
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["instances"] == report["solutions"] == 2**56
+    assert report["generic_instances"] == (2**14 - 1) * (2**14 - 2) * (2**14 - 4) * (2**14 - 8)
+
+
 def test_stats_refuses_a_moebius_sum_before_its_first_term(workdir):
     # x1+...+x9 = 0 on F_2^8: the dimension-7 and -6 terms fit the cap on the dual code, but the
     # first dimension-5 term needs 2 primes x 2^32 products; counting the 11,050 terms before it

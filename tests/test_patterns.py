@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -557,25 +558,39 @@ def test_generic_count_matches_rank_oracle(name, monkeypatch):
 
 
 def test_moebius_sum_refused_before_its_first_term(monkeypatch):
-    # x1+...+x6 = 0 on F_2^9: the dimension-4 terms take the dual route, but each
-    # dimension-3 term would enumerate |V|^3 = 2^27 tuples, so the sum is refused up front
-    sp = Space(2, 9)
-    h = Pattern(2, 2, [[1] * 6], (1,) * 6)
-    col = Coloring(sp, 2, np.random.default_rng(9).integers(1, 3, sp.size))
+    # x1+x2+x3+x4 = 0 on F_5^6: the 5^18 solutions are counted on the dual code, but some live
+    # dimension-2 terms keep 4 pairwise independent columns, so either route needs |V|^2 = 5^12
+    # tuples, and the sum is refused before any term is counted
+    sp = Space(5, 6)
+    h = Pattern(5, 2, [[1] * 4], (1,) * 4)
+    col = Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size))
     nonzero = pattern_stats(h, col).nonzero_instance_count
     counted, count = [], patterns.count_matches
 
-    def spy(basis, table_sets, space):
+    def spy(basis, table_sets, space, **kwargs):
         counted.append(basis.shape[0])
-        return count(basis, table_sets, space)
+        return count(basis, table_sets, space, **kwargs)
 
     monkeypatch.setattr(patterns, "count_matches", spy)
     with pytest.raises(ResourceCapError) as exc:
         generic_count(h, col, nonzero)
-    assert str(exc.value) == "solution enumeration needs 134217728 tuples, cap is 100000000"
-    assert exc.value.requested == 2**27
+    assert str(exc.value) == "solution enumeration needs 244140625 tuples, cap is 100000000"
+    assert exc.value.requested == 5**12
     assert exc.value.cap == ENUMERATION_CAP
     assert counted == []
+
+
+@pytest.mark.parametrize("k, n", [(5, 14), (6, 9)])
+def test_moebius_sum_reaches_past_shapes_no_live_term_has(k, n):
+    # on the all-ones coloring every all-nonzero solution of x1+...+xk = 0 matches; a generic one
+    # has its first k - 1 points independent and the last their sum, prod_{i < k-1} (2^n - 2^i) in
+    # all. No live dimension-3 term keeps all k columns over F_2, so every term fits the cap,
+    # while the shape (3, k) would not
+    sp = Space(2, n)
+    h = Pattern(2, 1, [[1] * k], (1,) * k)
+    col = Coloring(sp, 1, np.ones(sp.size, dtype=np.int64))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    assert generic_count(h, col, nonzero) == math.prod(2**n - 2**i for i in range(k - 1))
 
 
 def _sum_input(name):
@@ -654,10 +669,10 @@ def test_moebius_sum_keeps_only_its_own_spectra(monkeypatch):
 
 
 def test_moebius_sum_memory_is_bounded_by_its_own_spectra():
-    # x1+...+x5 = 0 on F_2^12, the largest F_2^n whose sum is not refused up front. The store
-    # keeps 2 keys x 2 primes; the first term adds their Walsh spectra, the copies it stores and
-    # a block's products. The peak reads 15.7 tables of int64 here, against 15.3 without a store.
-    sp = Space(2, 12)
+    # x1+...+x5 = 0 on F_2^14. The store keeps 2 keys x 2 primes; the first term adds their
+    # Walsh spectra, the copies it stores and a block's products. The peak reads 15.5 tables of
+    # int64 here.
+    sp = Space(2, 14)
     h = Pattern(2, 2, [[1] * 5], (1, 2, 1, 2, 1))
     col = Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size))
     nonzero = pattern_stats(h, col).nonzero_instance_count
