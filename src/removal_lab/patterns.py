@@ -605,34 +605,34 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
     k' its merged column count.
     For m > n no m points of V are independent, so the count is 0 at once.
 
-    The terms of one dim U are built as one array.  Since the tables clear entry
-    0, a term with a zero column counts 0, so only terms without one reach
-    count_matches.  All terms share one spectra store holding the k tables'
-    keys: each is transformed once per prime for the whole sum, while a table
-    that a term merges is transformed per call, so the store holds at most k
-    spectra per prime.
+    Since the tables clear entry 0, a term with a zero column counts 0, so only
+    terms without one are kept and reach count_matches.  All terms share one
+    spectra store holding the k tables' keys: each is transformed once per prime
+    for the whole sum, while a table that a term merges is transformed per call,
+    so the store holds at most k spectra per prime.
 
-    Each live term's merged shape is routed before the first count, so a sum is
-    refused whole, with the report of its first refused term in summation order.
+    Each live term's merged shape is routed as the term is built, before the
+    first count, so a sum is refused whole, with the report of its first refused
+    term in summation order, and no term past that one is built.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
     m = pattern.num_free
     if nonzero == 0 or m > space.n:
         return 0
-    sums = []  # per d = m - dim U: (mu_U, its live terms), in summation order
+    live = []  # (mu_U, B_U N) of each term without a zero column, in summation order
     for d in range(1, m):
-        terms = np.stack(list(subspace_bases(m, m - d, p))) @ pattern.null_basis % p
-        live = terms[terms.any(axis=1).all(axis=1)]  # a term with a zero column counts 0
-        for term in live:
-            _route(*_merge_columns(term, [], space)[0].shape, space)
-        sums.append(((-1) ** d * p ** (d * (d - 1) // 2), live))
+        mu = (-1) ** d * p ** (d * (d - 1) // 2)
+        for basis in subspace_bases(m, m - d, p):
+            term = basis @ pattern.null_basis % p
+            if term.any(axis=0).all():  # a term with a zero column counts 0
+                _route(*_merge_columns(term, [], space)[0].shape, space)
+                live.append((mu, term))
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
     spectra = {_spectrum_key(t): {} for t in tables}  # the own tables' spectra, kept for the whole sum
     total = nonzero
-    for mu, terms in sums:
-        for term in terms:
-            total += mu * count_matches(term, [tables], space, spectra=spectra)[0]
+    for mu, term in live:
+        total += mu * count_matches(term, [tables], space, spectra=spectra)[0]
     return total
 
 

@@ -414,12 +414,14 @@ def test_stats_with_moebius_terms_past_the_cap_is_a_cap_report(workdir, capsys):
 
 @pytest.mark.parametrize(
     "p, n, rows",
-    [(2, 14, [[1, 1, 1, 1]]), (3, 8, [[1, 1, 1, 1]]), (5, 6, [[1, 1, 1, 0], [0, 1, 1, 1]])],
-    ids=["sum4-F2^14", "sum4-F3^8", "pair4-F5^6"],
+    [(2, 14, [[1, 1, 1, 1]]), (3, 8, [[1, 1, 1, 1]]), (5, 6, [[1, 1, 1, 0], [0, 1, 1, 1]]),
+     (2, 14, [[1, 1, 1, 1, 1]])],
+    ids=["sum4-F2^14", "sum4-F3^8", "pair4-F5^6", "sum5-F2^14"],
 )
 def test_stats_counts_moebius_terms_on_merged_columns(workdir, capsys, p, n, rows):
-    # over F_2 a dimension-2 term has at most 3 distinct nonzero columns, and PAIR4 forces x1 = x4;
-    # counted on their merged columns, these sums fit the cap and answer quickly
+    # over F_2 a dimension-2 term has at most 3 distinct nonzero columns, a live dimension-3 term
+    # of SUM5 at most 4, and PAIR4 forces x1 = x4; counted on their merged columns, these sums fit
+    # the cap and answer quickly
     sp = Space(p, n)
     k = len(rows[0])
     write_pattern(workdir / "h.json", Pattern(p, 2, rows, (1,) * k))
@@ -431,22 +433,6 @@ def test_stats_counts_moebius_terms_on_merged_columns(workdir, capsys, p, n, row
     report = json.loads(out)
     assert 0 < report["generic_instances"] < report["nonzero_instances"] <= report["instances"]
     assert elapsed < 2.0
-
-
-def test_stats_of_a_five_term_sum_answers_on_f2_14(workdir, capsys):
-    # x1+...+x5 = 0 on F_2^14: its live Moebius terms merge to (3, 4) and (2, 3) only, so none
-    # needs the 2^28 products of a (3, 5) dual count. On the all-ones coloring a generic solution
-    # is 4 independent points and their sum
-    sp = Space(2, 14)
-    write_pattern(workdir / "sum5.json", Pattern(2, 2, [[1] * 5], (1,) * 5))
-    write_coloring(workdir / "ones.json", Coloring(sp, 2, np.ones(sp.size, dtype=np.int64)))
-    code, out, _ = run_cli(
-        capsys, "stats", "--pattern", str(workdir / "sum5.json"), "--coloring", str(workdir / "ones.json")
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["instances"] == report["solutions"] == 2**56
-    assert report["generic_instances"] == (2**14 - 1) * (2**14 - 2) * (2**14 - 4) * (2**14 - 8)
 
 
 def test_stats_refuses_a_moebius_sum_before_its_first_term(workdir):

@@ -580,6 +580,25 @@ def test_moebius_sum_refused_before_its_first_term(monkeypatch):
     assert counted == []
 
 
+def test_moebius_sum_refusal_lists_no_term_past_the_refused_one():
+    # x1+...+x11 = 0 on F_2^10: the first live dimension-8 term needs 3 primes x 2^30 products.
+    # Listing all [10, 2]_2 = 174,251 dimension-8 bases at once would hold 111 MB of int64
+    # before the product with N; routing each term as it is built stops at the first refused one.
+    sp = Space(2, 10)
+    h = Pattern(2, 2, [[1] * 11], (1,) * 11)
+    col = Coloring(sp, 2, np.random.default_rng(9).integers(1, 3, sp.size))
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError) as exc:
+            generic_count(h, col, nonzero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.requested == 3 * 2**30
+    assert peak < 2**22
+
+
 @pytest.mark.parametrize("k, n", [(5, 14), (6, 9)])
 def test_moebius_sum_reaches_past_shapes_no_live_term_has(k, n):
     # on the all-ones coloring every all-nonzero solution of x1+...+xk = 0 matches; a generic one
