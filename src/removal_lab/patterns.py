@@ -10,15 +10,15 @@ Space.image_points, in chunks of at most 2^17 tuples.
 first_instance and lam run over the same chunks: the first stops at the first
 tuple its boolean tables match, one table per variable; lam sums table products.
 
-count_matches is the one exact count of matched solutions, for one or more
-table sets in one pass.  It takes an (m, k) parametrization N of full row
-rank: a pattern's null basis, or a Moebius term B_U N of generic_count (the
+count_matches is the exact count of matched solutions, for one or more table
+sets in one pass.  It takes an (m, k) parametrization N of full row rank: a
+pattern's null basis.  generic_count counts the Moebius terms B_U N (the
 matched all-nonzero tuples of full rank, a signed sum of all-nonzero counts
-over the subspaces of the parameter space, so no tuple is rank-reduced).  It
-enumerates with the same match test, or takes the dual route: Poisson
-summation over the code C = {t N : t in V^m} in V^k, of size |V|^m, whose
-dual C^perp is the annihilator of N (for a null basis, the row space of A)
-over V, of size |V|^l, l = k - m:
+over the subspaces of the parameter space, so no tuple is rank-reduced) by the
+same steps.  A count enumerates with the same match test, or takes the dual
+route: Poisson summation over the code C = {t N : t in V^m} in V^k, of size
+|V|^m, whose dual C^perp is the annihilator of N (for a null basis, the row
+space of A) over V, of size |V|^l, l = k - m:
 
     sum_{x in C} prod_i f_i(x_i) = |V|^-l sum_{z in C^perp} prod_i F_i(z_i),
 
@@ -38,7 +38,7 @@ A count costs about what its distinct tables cost.  Tables with the same key,
 their entries 1 and up, share one transform: the point mass at 0 transforms
 to all ones at every p, so F_t = F_key + t(0), F_key the spectrum of the key's
 table with entry 0 cleared.  generic_count keeps the spectra of its own tables
-for its whole sum; a merged table is transformed per call.  C^perp is never
+for its whole sum; a merged table is transformed per count.  C^perp is never
 listed for a point or a line: with R = fields.null_space(N) of l rows, l = 0
 leaves the tuple 0, and a set counts the product of its table sizes; l = 1
 gives C^perp = {y r : y in V}, whose column i is F_i itself at r_i = 1, the
@@ -46,18 +46,17 @@ constant F_i(0) at r_i = 0, and F_i at the points r_i y otherwise.  Only at
 l >= 2 is C^perp listed, by iter_solution_chunks on R: a sum of residues
 depends neither on the basis of C^perp nor on its order.
 
-Before routing, count_matches merges columns: a zero column of N fixes x_i = 0
-and a column c times an earlier one fixes x_j = c x_i, so each folds into the
-tables (a set with x_i = 0 unmatched counts 0) and leaves N with k' <= k
-pairwise independent columns.  A forced equality (x1 = x4 in x1+x2+x3 = 0,
-x2+x3+x4 = 0) or a Moebius term with fewer directions than columns is thus
-counted on k' forms.  Route: the dual when l' = k' - m < m and p <= 31,
-enumeration otherwise; both are exact, so the choice never changes a count.
-_route picks it from the merged shape (m, k') and the space alone and refuses
-its work past ENUMERATION_CAP.  generic_count's tables all clear entry 0, so
-a term with a zero column counts 0 and is dropped; each live term's merged
-shape is routed before the first count, so a Moebius sum is refused whole,
-never part-way.
+Each parametrization is merged and routed once, and counted by one runner.
+_merge_columns drops the columns that fold (a zero column fixes x_i = 0, a
+column c times an earlier one fixes x_j = c x_i), leaving k' <= k pairwise
+independent columns, and _fold folds the tables to match; a forced equality
+(x1 = x4 in x1+x2+x3 = 0, x2+x3+x4 = 0) or a Moebius term with fewer
+directions than columns is thus counted on k' forms.  _route, the one rule and
+cap check, reads only the merged shape (m, k') and the space: the dual route's
+moduli when l' = k' - m < m and p <= 31, else None to enumerate, either refused
+past ENUMERATION_CAP; both routes are exact.  _count runs the route.
+generic_count merges and routes every live term before its first count, so a
+Moebius sum is refused whole, never part-way.
 """
 
 from __future__ import annotations
@@ -257,53 +256,37 @@ def _modulus(p: int, j: int) -> tuple[int, int]:
     return q, omega
 
 
-def count_matches(
-    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, *, spectra: dict | None = None
-) -> list[int]:
+def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space) -> list[int]:
     """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
     basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
-    Each set holds k boolean tables of length |V|, one per variable.  First
-    _merge_columns folds the zero and parallel columns of N into the tables;
-    then _route reads the merged shape (m, k'), picks the dual route (see the
-    module docstring) or enumeration, and refuses either past ENUMERATION_CAP
-    before it starts.  A set that the merge finds dead counts 0 unrouted.
-    The dual route lists no point or line C^perp and transforms each distinct
-    table once (see _dual_count).  spectra, if given, maps table keys to their
-    spectra by prime; the dual route reads and fills the keys it holds, so a
-    caller keeps them across calls, as generic_count does for a sum.
+    Each set holds k boolean tables of length |V|, one per variable.  The basis
+    is merged and its folds applied to the tables (_merge_columns, _fold); a
+    set that the fold finds dead counts 0, and a call whose every set is dead
+    returns unrouted.  Otherwise _route reads the merged shape (m, k') and
+    _count runs the route it picks (see the module docstring).
     """
-    basis, merged = _merge_columns(basis, table_sets, space)
+    basis, folds = _merge_columns(basis, space)
+    merged = _fold(table_sets, folds, space)
     live = [tables for tables in merged if tables is not None]
     if not live:
         return [0] * len(merged)
-    if _route(*basis.shape, space):
-        counts = _dual_count(basis, live, space, spectra)
-    else:
-        counts = [0] * len(live)
-        for xs in iter_solution_chunks(basis, space):
-            for j, tables in enumerate(live):
-                counts[j] += int(np.count_nonzero(_hits(tables, xs)))
-    live_counts = iter(counts)
-    return [0 if tables is None else next(live_counts) for tables in merged]
+    counts = iter(_count(basis, live, _route(*basis.shape, space), space, {}))
+    return [0 if tables is None else next(counts) for tables in merged]
 
 
-def _merge_columns(
-    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space
-) -> tuple[np.ndarray, list]:
-    """basis without its zero and parallel columns, and each table set folded to match, None if it counts 0.
+def _merge_columns(basis: np.ndarray, space: Space) -> tuple[np.ndarray, list[tuple]]:
+    """basis without its zero and parallel columns, and the folds (j, i, c) that _fold applies to tables.
 
-    A zero column j fixes x_j = 0: a set whose tables[j][0] is false counts 0, any other drops
-    table j.  A column j = c column i, i the first column of its direction, fixes x_j = c x_i:
-    table i becomes table_i & table_j[c y].  The column span, so full row rank, and the product
-    of the 0/1 tables are unchanged, so every count is too.  With nothing to fold, or m = 0,
-    the inputs come back as they are.
+    A zero column j fixes x_j = 0, a fold (j, None, 0).  A column j = c column i, i the first
+    column of its direction, fixes x_j = c x_i, a fold (j, i, c).  The column span, so full
+    row rank, is unchanged.  With nothing to fold, or m = 0, the basis itself comes back.
     """
     if not basis.shape[0]:
-        return basis, table_sets
+        return basis, []
     p = space.p
     first: dict[tuple, tuple[int, int]] = {}  # a column scaled to lead entry 1 -> (its first column, lead)
-    folds = []  # (j, i, c): column j is c times column i; i is None for a zero column
+    folds = []
     for j, column in enumerate(basis.T.tolist()):
         lead = next((v for v in column if v), 0)
         if not lead:
@@ -314,9 +297,18 @@ def _merge_columns(
         if i != j:
             folds.append((j, i, lead * pow(lead_i, -1, p) % p))
     if not folds:
-        return basis, table_sets
+        return basis, folds
     dropped = {j for j, _, _ in folds}
-    keep = [j for j in range(basis.shape[1]) if j not in dropped]
+    return basis[:, [j for j in range(basis.shape[1]) if j not in dropped]], folds
+
+
+def _fold(table_sets: Sequence[Sequence[np.ndarray]], folds: list[tuple], space: Space) -> list:
+    """Each table set folded onto the basis _merge_columns merged, None if it counts 0 (x_j = 0 unmatched).
+
+    A fold (j, i, c) makes table i table_i & table_j[c y]; every fold drops table j.  The
+    product of the 0/1 tables is unchanged, so every count is too.
+    """
+    dropped = {j for j, _, _ in folds}
     scaled: dict[int, np.ndarray] = {}  # c -> the points c y, y in index order
     merged = []
     for tables in table_sets:
@@ -329,18 +321,17 @@ def _merge_columns(
                 if c != 1 and c not in scaled:
                     scaled[c] = space.scale_points(c, np.arange(space.size))
                 tables[i] = tables[i] & (tables[j] if c == 1 else tables[j][scaled[c]])
-        merged.append([tables[i] for i in keep])
-    return basis[:, keep], merged
+        merged.append([t for j, t in enumerate(tables) if j not in dropped])
+    return merged
 
 
-def _route(m: int, k: int, space: Space) -> bool:
-    """Whether an (m, k) parametrization is counted on the dual route (l = k - m < m, p <= DUAL_MAX_P,
-    |V|^m short enough to print) rather than enumerated; either route's work is refused here past the cap."""
+def _route(m: int, k: int, space: Space) -> list[tuple[int, int]] | None:
+    """The dual route's moduli for an (m, k) parametrization (l = k - m < m, p <= DUAL_MAX_P, |V|^m
+    short enough to print), or None to enumerate; either route's work is refused here past the cap."""
     if k - m < m and space.p <= DUAL_MAX_P and not isinstance(capped_power(space.size, m), str):
-        _dual_moduli(m, k, space)
-        return True
+        return _dual_moduli(m, k, space)
     _check_enumeration(m, space)
-    return False
+    return None
 
 
 def _dual_moduli(m: int, k: int, space: Space) -> list[tuple[int, int]]:
@@ -355,10 +346,21 @@ def _dual_moduli(m: int, k: int, space: Space) -> list[tuple[int, int]]:
     return moduli
 
 
+def _count(basis: np.ndarray, table_sets: list, moduli: list | None, space: Space, spectra: dict) -> list[int]:
+    """Per set, the count of a merged basis on its route: _dual_count on moduli and spectra, or enumeration."""
+    if moduli is not None:
+        return _dual_count(basis, table_sets, moduli, space, spectra)
+    counts = [0] * len(table_sets)
+    for xs in iter_solution_chunks(basis, space):
+        for j, tables in enumerate(table_sets):
+            counts[j] += int(np.count_nonzero(_hits(tables, xs)))
+    return counts
+
+
 def _dual_count(
-    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], space: Space, spectra: dict | None = None
+    basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]], moduli: list, space: Space, spectra: dict
 ) -> list[int]:
-    """count_matches by Poisson summation, from residues mod primes whose product exceeds |V|^m.
+    """count_matches by Poisson summation, from residues mod the primes of moduli, whose product exceeds |V|^m.
 
     C^perp has l = k - m dimensions.  At l = 0 it is the tuple 0, and x = t N is a bijection
     of V^m, so a set counts prod_i F_i(0), the product of its table sizes, exactly.  Else
@@ -368,7 +370,7 @@ def _dual_count(
     the kernel chunks.  At l >= 2 iter_solution_chunks lists C^perp.  Each block serves every
     prime, and each factor is one 1-D gather from a spectrum reduced mod q, done once per
     distinct table and column.  The spectra come from _key_spectra, one transform per key;
-    spectra is its per-sum store, kept by generic_count.
+    spectra is its store, kept by generic_count for a whole sum.
 
     int64 never overflows: at odd p a stage sums p products of residues, under p q^2 < 2^63
     for p <= DUAL_MAX_P; a factor is a residue, or a residue plus 1, so a product of two is
@@ -377,7 +379,6 @@ def _dual_count(
     if basis.shape[0] == basis.shape[1]:  # l = 0: x = t N is a bijection of V^m
         return [math.prod(int(np.count_nonzero(t)) for t in tables) for tables in table_sets]
     rowspace = null_space(basis, space.p)
-    moduli = _dual_moduli(*basis.shape, space)
     keys: dict[bytes, int] = {}  # a table's key -> its index in bases
     bases, refs = [], []  # one table per key; per set, (key index, t(0)) per column
     for tables in table_sets:
@@ -441,7 +442,7 @@ def _spectrum_key(table: np.ndarray) -> bytes:
 
 
 def _key_spectra(
-    keys: list[bytes], tables: list[np.ndarray], moduli: list[tuple[int, int]], space: Space, spectra: dict | None
+    keys: list[bytes], tables: list[np.ndarray], moduli: list[tuple[int, int]], space: Space, spectra: dict
 ) -> list[list[np.ndarray]]:
     """Per prime q, the spectrum mod q of each key's table with entry 0 cleared, F_key.
 
@@ -451,9 +452,8 @@ def _key_spectra(
     there, for the rest of a sum; any other key is transformed for this call only.
     """
     p = space.p
-    store = {} if spectra is None else spectra
-    todo = [i for i, key in enumerate(keys) if any(q not in store.get(key, {}) for q, _ in moduli)]
-    by_key: list[dict[int, np.ndarray]] = [store.get(key, {}) for key in keys]
+    todo = [i for i, key in enumerate(keys) if any(q not in spectra.get(key, {}) for q, _ in moduli)]
+    by_key: list[dict[int, np.ndarray]] = [spectra.get(key, {}) for key in keys]
     if todo:
         a = np.array([tables[i] for i in todo], dtype=np.int64)
         a[:, 0] = 0
@@ -470,7 +470,7 @@ def _key_spectra(
                     spectrum %= q
             for i, row in zip(todo, spectrum):
                 # a stored row is a copy, so that the call's other spectra are freed with the call
-                by_key[i][q] = row.copy() if keys[i] in store else row
+                by_key[i][q] = row.copy() if keys[i] in spectra else row
     return [[spectra_q[q] for spectra_q in by_key] for q, _ in moduli]
 
 
@@ -600,39 +600,38 @@ def generic_count(pattern: Pattern, coloring, nonzero: int) -> int:
         mu_U = (-1)^d p^(d(d-1)/2), d = m - dim U,
 
     B_U the RREF basis of U.  U = F_p^m contributes nonzero and U = 0 nothing;
-    every other term is count_matches on the parametrization B_U N, of full row
-    rank since B_U and N are, so it takes the dual route when k' - dim U < dim U,
-    k' its merged column count.
-    For m > n no m points of V are independent, so the count is 0 at once.
+    every other term counts on the parametrization B_U N, of full row rank since
+    B_U and N are.  For m > n no m points of V are independent, so the count is
+    0 at once.
 
-    Since the tables clear entry 0, a term with a zero column counts 0, so only
-    terms without one are kept and reach count_matches.  All terms share one
-    spectra store holding the k tables' keys: each is transformed once per prime
-    for the whole sum, while a table that a term merges is transformed per call,
-    so the store holds at most k spectra per prime.
-
-    Each live term's merged shape is routed as the term is built, before the
-    first count, so a sum is refused whole, with the report of its first refused
-    term in summation order, and no term past that one is built.
+    Since the tables clear entry 0, a term with a zero column counts 0 and is
+    dropped unmerged.  Each live term is merged and routed once, as it is built,
+    by the rule count_matches follows, and kept with its folds and moduli; only
+    then is each kept term counted by _count on its folded tables.  So a sum is
+    refused whole, before its first count, with the report of its first refused
+    term in summation order, and no term past that one is built.  All terms
+    share one spectra store holding the k tables' keys: each is transformed once
+    per prime for the whole sum, while a table that a term merges is transformed
+    per count, so the store holds at most k spectra per prime.
     """
     _check_pair(pattern, coloring)
     space, p = coloring.space, coloring.space.p
     m = pattern.num_free
     if nonzero == 0 or m > space.n:
         return 0
-    live = []  # (mu_U, B_U N) of each term without a zero column, in summation order
+    live = []  # (mu_U, merged B_U N, its folds, its moduli) of each term without a zero column, in summation order
     for d in range(1, m):
         mu = (-1) ** d * p ** (d * (d - 1) // 2)
         for basis in subspace_bases(m, m - d, p):
             term = basis @ pattern.null_basis % p
             if term.any(axis=0).all():  # a term with a zero column counts 0
-                _route(*_merge_columns(term, [], space)[0].shape, space)
-                live.append((mu, term))
+                merged, folds = _merge_columns(term, space)
+                live.append((mu, merged, folds, _route(*merged.shape, space)))
     tables = color_tables(coloring, pattern.psi, require_nonzero=True)
     spectra = {_spectrum_key(t): {} for t in tables}  # the own tables' spectra, kept for the whole sum
     total = nonzero
-    for mu, term in live:
-        total += mu * count_matches(term, [tables], space, spectra=spectra)[0]
+    for mu, merged, folds, moduli in live:
+        total += mu * _count(merged, _fold([tables], folds, space), moduli, space, spectra)[0]
     return total
 
 

@@ -392,9 +392,9 @@ def regularity_recolor(
     eps_prime may be a float (plain mode) or a nonincreasing callable of the
     codimension (sequence mode, where the regularity achieved in conclusion
     (3) is allowed to depend on codim V_1; realized as a fixpoint loop over the
-    codimension guess).  Conclusions (1) and (2) are re-measured exactly, (3)
-    is checked against the restriction norm verify_model measured for the
-    returned model, and the change budget is asserted.
+    codimension guess); a value <= 0 raises ValueError.  Conclusions (1) and (2)
+    are re-measured exactly, (3) is checked against the restriction norm
+    verify_model measured for the returned model, and the change budget is asserted.
 
     The repaint is one pass over coset ids.  A color c is dense in a V_2-coset
     when it colors at least need = ceil(eps |V_2| / (2r)) of its points, the
@@ -416,7 +416,11 @@ def regularity_recolor(
     eps_seq = eps_prime if sequence_mode else lambda d: eps_prime
     d = d0
     while True:
-        eps2 = min(eps / (4 * r), float(eps_seq(d)))
+        # the eps' a pass is built from is refused first; the loop ends only on an eps' >= eps2 > 0
+        eps_d = float(eps_seq(d))
+        if not eps_d > 0:
+            raise ValueError("eps_prime must be positive")
+        eps2 = min(eps / (4 * r), eps_d)
         # v0 = {x : x_0 = ... = x_{d-1} = 0}, the last n - d rows of the full space's basis
         v0 = Subspace.from_rows(space.p, space.n, np.eye(space.n, dtype=np.int64)[d:])
         # the r indicator tables are built per pass and freed with it: alive in the repaint below,

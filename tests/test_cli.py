@@ -551,6 +551,22 @@ def test_model_eps_outside_the_unit_interval_exits_one(workdir, capsys, eps):
         assert out == "" and err == "error: eps must lie in (0, 1]\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recolor", "--coloring", "phi.json", "--eps", "0.5", "--eps-reg", "0"],
+        ["remove", "--family", "fam.json", "--coloring", "phi.json", "--eps", "0.5", "--eps-reg", "-0.5",
+         "--acknowledge-complexity"],
+    ],
+    ids=["recolor-eps-reg-0", "remove-eps-reg-negative"],
+)
+def test_non_positive_eps_reg_exits_one_naming_it(workdir, capsys, argv):
+    # --eps is valid here, so the report must blame eps', not eps
+    code, out, err = run_cli(capsys, *[str(workdir / a) if a.endswith(".json") else a for a in argv])
+    assert code == 1
+    assert out == "" and err == "error: eps_prime must be positive\n"
+
+
 def test_missing_file_is_a_usage_error(workdir, capsys):
     code, _, err = run_cli(
         capsys, "density", "--pattern", str(workdir / "nope.json"),

@@ -196,6 +196,11 @@ def _enumerated(h, tables, sp):
     return sum(int(np.count_nonzero(patterns._hits(tables, xs))) for xs in iter_solution_chunks(h.null_basis, sp))
 
 
+def _moduli(basis, sp):
+    """The primes a dual count of basis runs on, for calling _dual_count on any shape."""
+    return patterns._dual_moduli(*basis.shape, sp)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("l", [0, 1, 2])
 def test_dual_count_matches_enumeration(p, l):
@@ -211,7 +216,7 @@ def test_dual_count_matches_enumeration(p, l):
             col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
             table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
             want = [_enumerated(h, tables, sp) for tables in table_sets]
-            assert patterns._dual_count(h.null_basis, table_sets, sp) == want
+            assert patterns._dual_count(h.null_basis, table_sets, _moduli(h.null_basis, sp), sp, {}) == want
             assert count_matches(h.null_basis, table_sets, sp) == want
 
 
@@ -278,7 +283,8 @@ def test_dual_count_is_exact_at_the_largest_p():
         col = Coloring(sp, 2, rng.integers(1, 3, sp.size))
         table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
         want = [_enumerated(h, tables, sp) for tables in table_sets]
-        assert patterns._dual_count(h.null_basis, table_sets, sp) == count_matches(h.null_basis, table_sets, sp) == want
+        dual = patterns._dual_count(h.null_basis, table_sets, _moduli(h.null_basis, sp), sp, {})
+        assert dual == count_matches(h.null_basis, table_sets, sp) == want
 
 
 def test_count_matches_enumerates_past_the_largest_p(monkeypatch):
@@ -308,9 +314,9 @@ def _spy_dual_routes(monkeypatch):
     routes = []
     dual_count = patterns._dual_count
 
-    def spy(basis, table_sets, space, *rest):
+    def spy(basis, *rest):
         routes.append(basis.shape)
-        return dual_count(basis, table_sets, space, *rest)
+        return dual_count(basis, *rest)
 
     monkeypatch.setattr(patterns, "_dual_count", spy)
     return routes
@@ -476,11 +482,12 @@ def test_dual_count_on_points_lines_and_planes(case):
     k = basis.shape[1]
     direct = [tables[:k] for tables in table_sets]
     want = [_mask_count(basis, tables, sp) for tables in direct]
-    assert patterns._dual_count(basis, direct, sp) == want
+    moduli = _moduli(basis, sp)
+    assert patterns._dual_count(basis, direct, moduli, sp, {}) == want
     # a store that holds some keys is filled on the first call and read on the second
     store = {patterns._spectrum_key(t): {} for t in direct[0][::2]}
-    assert patterns._dual_count(basis, direct, sp, store) == want
-    assert patterns._dual_count(basis, direct, sp, store) == want
+    assert patterns._dual_count(basis, direct, moduli, sp, store) == want
+    assert patterns._dual_count(basis, direct, moduli, sp, store) == want
     assert count_matches(folded, table_sets, sp) == [_mask_count(folded, tables, sp) for tables in table_sets]
 
 
@@ -565,13 +572,13 @@ def test_moebius_sum_refused_before_its_first_term(monkeypatch):
     h = Pattern(5, 2, [[1] * 4], (1,) * 4)
     col = Coloring(sp, 2, np.random.default_rng(14).integers(1, 3, sp.size))
     nonzero = pattern_stats(h, col).nonzero_instance_count
-    counted, count = [], patterns.count_matches
+    counted, count = [], patterns._count
 
-    def spy(basis, table_sets, space, **kwargs):
+    def spy(basis, *rest):
         counted.append(basis.shape[0])
-        return count(basis, table_sets, space, **kwargs)
+        return count(basis, *rest)
 
-    monkeypatch.setattr(patterns, "count_matches", spy)
+    monkeypatch.setattr(patterns, "_count", spy)
     with pytest.raises(ResourceCapError) as exc:
         generic_count(h, col, nonzero)
     assert str(exc.value) == "solution enumeration needs 244140625 tuples, cap is 100000000"
@@ -642,27 +649,59 @@ def test_moebius_sum_lists_no_point_or_line_and_transforms_its_tables_once(monke
         walshed.extend(row.copy() for row in a)
         return walsh(a)
 
-    terms, count = [], patterns.count_matches
+    terms, merged, merge, count = [], [], patterns._merge_columns, patterns._count
 
-    def count_spy(basis, *rest, **kw):
+    def merge_spy(basis, space):
         terms.append(basis)
-        return count(basis, *rest, **kw)
+        return merge(basis, space)
+
+    def count_spy(basis, *rest):
+        merged.append(basis)
+        return count(basis, *rest)
 
     monkeypatch.setattr(patterns, "_dual_count", dual_spy)
     monkeypatch.setattr(patterns, "iter_solution_chunks", enumerate_spy)
     monkeypatch.setattr(patterns, "_walsh", walsh_spy)
     nonzero = pattern_stats(h, col).nonzero_instance_count
     walshed.clear()
-    monkeypatch.setattr(patterns, "count_matches", count_spy)
+    monkeypatch.setattr(patterns, "_merge_columns", merge_spy)
+    monkeypatch.setattr(patterns, "_count", count_spy)
     assert generic_count(h, col, nonzero) == 480  # the golden's generic_instances
-    # a term with a zero column counts 0 and is dropped before count_matches
+    # a term with a zero column counts 0 and is dropped before it is merged; each live term is counted once
     assert terms and all(term.any(axis=0).all() for term in terms)
+    assert len(merged) == len(terms)
     dims = [l for l in duals if l is not None]
     assert dims.count(1) > 1  # the main count and the sum count lines
     assert listed == [l for l in dims if l >= 2]
     # the sum's own table, entry 0 cleared, is transformed once: one Walsh spectrum serves every prime
     own = color_tables(col, h.psi, require_nonzero=True)[0].astype(np.int64)
     assert sum(np.array_equal(row, own) for row in walshed) == 1
+
+
+@pytest.mark.parametrize("name, calls", [("sum5_f2", (20, 20, 20)), ("chain5_f3", (9, 9, 5))])
+def test_moebius_sum_merges_and_routes_each_term_once(name, calls, monkeypatch):
+    # one merge and one route per live term, and primes only for the terms that take the dual route
+    h, col = _sum_input(name)
+    sp, p, m = col.space, col.space.p, h.num_free
+    nonzero = pattern_stats(h, col).nonzero_instance_count
+    tables = color_tables(col, h.psi, require_nonzero=True)
+    terms = [b @ h.null_basis % p for u in range(1, m) for b in subspace_bases(m, u, p)]
+    live = [term for term in terms if term.any(axis=0).all()]
+    dual = [term for term in live if _merged_dual_route(term, [tables], sp) is not None]
+    assert (len(live), len(live), len(dual)) == calls
+    made = dict.fromkeys(["_merge_columns", "_route", "_dual_moduli"], 0)
+
+    def spy(fn, f):
+        def counted(*args):
+            made[fn] += 1
+            return f(*args)
+
+        return counted
+
+    for fn in made:
+        monkeypatch.setattr(patterns, fn, spy(fn, getattr(patterns, fn)))
+    generic_count(h, col, nonzero)
+    assert tuple(made.values()) == calls
 
 
 def test_moebius_sum_keeps_only_its_own_spectra(monkeypatch):
@@ -964,7 +1003,7 @@ def test_kernel_counts_match_brute_force(case):
     # the dual route on every input, not only where count_matches picks it
     table_sets = [color_tables(col, h.psi), color_tables(col, h.psi, require_nonzero=True)]
     want = [np.count_nonzero(instances), np.count_nonzero(instances & nonzero)]
-    assert patterns._dual_count(h.null_basis, table_sets, sp) == want
+    assert patterns._dual_count(h.null_basis, table_sets, _moduli(h.null_basis, sp), sp, {}) == want
     assert generic_count(h, col, stats.nonzero_instance_count) == generic
     fs = [col.indicator(c) for c in h.psi]
     assert lam(h.rows, fs, sp).exact == Fraction(int(np.count_nonzero(instances)), int(np.count_nonzero(homogeneous)))

@@ -342,6 +342,24 @@ def test_recolor_eps_validation():
         regularity_recolor(col, 1.5, 0.2)
 
 
+def test_recolor_refuses_a_non_positive_eps_prime_in_either_mode(monkeypatch):
+    sp = Space(2, 10)
+    col = Coloring(sp, 2, np.random.default_rng(72).integers(1, 3, sp.size).astype(np.int64))
+    models, model_of = [], regularize.regular_model
+
+    def recording_model(*args, **kwargs):
+        models.append(model_of(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(regularize, "regular_model", recording_model)
+    # the first value is read before any model is built; a later one once the model's codim is known
+    for eps_prime, built in [(0.0, 0), (-0.5, 0), (lambda d: 0.0, 0), (lambda d: 1.0 if d <= 2 else 0.0, 1)]:
+        models.clear()
+        with pytest.raises(ValueError, match="^eps_prime must be positive$"):
+            regularity_recolor(col, 0.5, eps_prime, seed=1)
+        assert len(models) == built
+
+
 def test_recolor_monochromatic_input_is_untouched():
     sp = Space(2, 5)
     col = Coloring(sp, 2, np.full(sp.size, 2, dtype=np.int64))
