@@ -13,10 +13,12 @@ flat little-endian indexing of the spectrum comes out right (ifftn likewise).
 
 At p = 2 every character is +-1, so each axis is the sign-only butterfly
 (x + y, x - y) and no complex arithmetic is needed: _walsh runs it, the fast
-Walsh-Hadamard transform.  Its stages take the coordinates in fftn's order
-(coordinate 0, the last tensor axis, first) with the same sums, so its
-results are bit-equal to fftn's on any real or complex table.  On int64
-tables it is exact, so patterns' dual count takes its p = 2 spectra from it.
+Walsh-Hadamard transform, in constant geometry, so every stage is the same
+pass over adjacent pairs whatever the table.  Its stages take the coordinates
+in fftn's order (coordinate 0, the last tensor axis, first) with the same
+sums, so its results are bit-equal to fftn's on any real or complex table.
+On int64 tables it is exact, so patterns' dual count takes its p = 2 spectra
+from it.
 """
 
 from __future__ import annotations
@@ -32,19 +34,21 @@ FLOAT_TOL = 1e-9
 def _walsh(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of each row of a (batch, 2^d) array.
 
-    Stage h (h = 1, 2, 4, ...) maps each pair (x, y) of entries h apart to
-    (x + y, x - y): the length-2 DFT along coordinate log2(h).  a is
-    overwritten; the result is a or a buffer of its shape.
+    Constant geometry (Pease, J. ACM 15, 1968): every stage reads the pairs
+    (x, y) at entries (2i, 2i + 1) and writes x + y to entry i and x - y to
+    entry i + 2^(d-1), the length-2 DFT along the coordinate in the lowest
+    digit, which moves to the top.  After d stages every coordinate has been
+    transformed, coordinate 0 first, and is back in place.  a is overwritten;
+    the result is a or a buffer of its shape.
     """
-    batch = a.shape[0]
+    batch, size = a.shape
+    half = size // 2
     b = np.empty_like(a)
-    h = 1
-    while h < a.shape[1]:
-        x, out = a.reshape(batch, -1, 2, h), b.reshape(batch, -1, 2, h)
-        np.add(x[:, :, 0], x[:, :, 1], out=out[:, :, 0])
-        np.subtract(x[:, :, 0], x[:, :, 1], out=out[:, :, 1])
+    for _ in range(size.bit_length() - 1):
+        x = a.reshape(batch, half, 2)
+        np.add(x[:, :, 0], x[:, :, 1], out=b[:, :half])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=b[:, half:])
         a, b = b, a
-        h *= 2
     return a
 
 

@@ -56,7 +56,11 @@ cap check, reads only the merged shape (m, k') and the space: the dual route's
 moduli when l' = k' - m < m and p <= 31, else None to enumerate, either refused
 past ENUMERATION_CAP; both routes are exact.  _count runs the route.
 generic_count merges and routes every live term before its first count, so a
-Moebius sum is refused whole, never part-way.
+Moebius sum is refused whole, never part-way.  count_members counts a list of
+(basis, tables) members, such as the members of a family, which differ only in
+psi and so share a null basis: each distinct basis is merged, routed and
+counted once, for all its live members, and the members still get their
+counts and refusals in order.  count_matches is count_members on one basis.
 """
 
 from __future__ import annotations
@@ -260,19 +264,42 @@ def count_matches(basis: np.ndarray, table_sets: Sequence[Sequence[np.ndarray]],
     """Per table set, #{t in V^m : tables[i][(t N)_i] for all i}, exactly, in one pass.
 
     basis is an (m, k) N of full row rank, as iter_solution_chunks takes it.
-    Each set holds k boolean tables of length |V|, one per variable.  The basis
-    is merged and its folds applied to the tables (_merge_columns, _fold); a
-    set that the fold finds dead counts 0, and a call whose every set is dead
-    returns unrouted.  Otherwise _route reads the merged shape (m, k') and
-    _count runs the route it picks (see the module docstring).
+    Each set holds k boolean tables of length |V|, one per variable: count_members
+    of the sets as members on the one basis.
     """
-    basis, folds = _merge_columns(basis, space)
-    merged = _fold(table_sets, folds, space)
-    live = [tables for tables in merged if tables is not None]
-    if not live:
-        return [0] * len(merged)
-    counts = iter(_count(basis, live, _route(*basis.shape, space), space, {}))
-    return [0 if tables is None else next(counts) for tables in merged]
+    return list(count_members([(basis, tables) for tables in table_sets], space))
+
+
+def count_members(members: Sequence[tuple[np.ndarray, Sequence[np.ndarray]]], space: Space) -> Iterator[int]:
+    """Per (basis, tables) member, in order, its count #{t in V^m : tables[i][(t N)_i] for all i}.
+
+    Members on one basis, such as a family's members that differ only in psi, are merged and
+    counted together.  Each distinct basis is merged once (_merge_columns) and the sets of its
+    members folded to match (_fold); a set that the fold finds dead counts 0 and is not routed.
+    The basis is routed (_route) at its first live member, where a refusal is raised, and one
+    _count there counts every live set of the basis.  _route reads only the merged shape, so
+    each member gets the count or refusal that counting it on its own gives, in member order;
+    a caller that stops at a member routes no later basis.
+    """
+    groups: dict[tuple, list[int]] = {}  # a basis key -> its members' indices
+    for j, (basis, _) in enumerate(members):
+        groups.setdefault((basis.tobytes(), basis.shape), []).append(j)
+    folded: list = [None] * len(members)  # per member, its folded set, or None if it counts 0
+    group_of: list = [None] * len(members)  # per member, (its merged basis, its group's indices)
+    for js in groups.values():
+        merged, folds = _merge_columns(members[js[0]][0], space)
+        for j, tables in zip(js, _fold([members[j][1] for j in js], folds, space)):
+            folded[j], group_of[j] = tables, (merged, js)
+    counts: dict[int, int] = {}
+    for j, tables in enumerate(folded):
+        if tables is None:
+            yield 0
+            continue
+        if j not in counts:  # the first live member of its basis
+            merged, js = group_of[j]
+            live = [i for i in js if folded[i] is not None]
+            counts.update(zip(live, _count(merged, [folded[i] for i in live], _route(*merged.shape, space), space, {})))
+        yield counts[j]
 
 
 def _merge_columns(basis: np.ndarray, space: Space) -> tuple[np.ndarray, list[tuple]]:
@@ -670,13 +697,20 @@ def subpattern_closure(family: Sequence[Pattern]) -> list[Pattern]:
     """One representative of every subpattern of every member, deduplicated.
 
     Only nonempty index sets are used.  Dedup key is the canonical row space
-    together with psi, so equivalent presentations collapse.
+    together with psi, so equivalent presentations collapse.  Members that share
+    a null basis share its projections: one annihilator per (null basis, columns).
     """
     seen: dict[tuple, Pattern] = {}
+    rows_of: dict[tuple, np.ndarray] = {}  # (null basis, column mask) -> subpattern's rows, as subpattern builds them
     for h in family:
+        basis = h.null_basis
+        basis_key = (basis.tobytes(), basis.shape)
         for mask in range(1, 1 << h.k):
-            idx = [i + 1 for i in range(h.k) if mask >> i & 1]
-            sub = subpattern(h, idx)
+            cols = [i for i in range(h.k) if mask >> i & 1]
+            key = (*basis_key, mask)
+            if key not in rows_of:
+                rows_of[key] = annihilator(basis[:, cols], h.p)
+            sub = Pattern(h.p, h.r, rows_of[key], tuple(h.psi[i] for i in cols))
             seen.setdefault(sub.canonical_key(), sub)
     return list(seen.values())
 

@@ -22,9 +22,11 @@ member's null basis N alone, not on psi, so there is one class table per
 distinct null basis: the r members of a monochromatic family share one.  Per
 chi, the first class whose lead digits chi maps onto the member's psi gives
 its first instance, the tuple an enumeration of that chi's coloring would
-find.  Certificates are still re-checked against the coloring itself: each
-Case-A instance directly, the Case-B witness by an exact recount
-(patterns.count_matches).
+find.  Certificates are still re-checked against the coloring itself, and not
+through the class tables: the Case-A instances directly, all in one array pass
+after the walk, each colored by its chi at its lead digits, which is its
+canonical coloring read there; the Case-B witness by an exact recount of every
+member, one count per distinct null basis (patterns.count_members).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import patterns
 from .errors import VerificationError
-from .patterns import Pattern, color_tables, count_matches, iter_solution_chunks
+from .patterns import color_tables, count_members, iter_solution_chunks
 from .space import Coloring, Space, capped_power, check_cap
 
 
@@ -139,17 +141,36 @@ class Dichotomy:
         return d
 
 
-def _check_certificate(pattern: Pattern, coloring: Coloring, instance: tuple[int, ...]) -> None:
-    """Direct re-check of one instance: linear relations, nonzero, colors."""
-    space = coloring.space
-    xs = np.array(instance, dtype=np.int64)
-    coords = space.decode(xs)
-    if pattern.rows.shape[0] and np.any(pattern.rows @ coords % space.p):
-        raise VerificationError("certificate violates the linear relations", evidence=instance)
-    if np.any(xs == 0):
-        raise VerificationError("certificate touches zero", evidence=instance)
-    if np.any(coloring.values[xs] != np.array(pattern.psi)):
-        raise VerificationError("certificate colors do not match", evidence=instance)
+# a certificate's defects, in the order they are checked
+_DEFECTS = (
+    "certificate violates the linear relations",
+    "certificate touches zero",
+    "certificate colors do not match",
+)
+
+
+def _check_certificates(family, certificates, space: Space) -> None:
+    """Direct re-check of every Case-A instance in one array pass: linear relations, nonzero, colors.
+
+    A certificate's colors are (1, *chi)[lead digits], its canonical coloring read at the
+    instance.  The first defective certificate in walk order is refused with its first defect.
+    """
+    lead = _lead_digits(space.p, space.n)
+    bad = np.zeros((len(_DEFECTS), len(certificates)), dtype=bool)
+    by_member: dict[int, list[int]] = {}
+    for j, cert in enumerate(certificates):
+        by_member.setdefault(cert.pattern_index, []).append(j)
+    for idx, js in by_member.items():
+        h = family[idx]
+        xs = np.array([certificates[j].instance for j in js], dtype=np.int64)  # (c, k)
+        color_of = np.array([(1, *certificates[j].chi) for j in js], dtype=np.int64)  # (c, p)
+        bad[0, js] = (h.rows @ space.decode(xs) % space.p).any(axis=(1, 2))
+        bad[1, js] = (xs == 0).any(axis=1)
+        bad[2, js] = (color_of[np.arange(len(js))[:, None], lead[xs]] != np.array(h.psi)).any(axis=1)
+    defective = np.flatnonzero(bad.any(axis=0))
+    if defective.size:
+        j = defective[0]
+        raise VerificationError(_DEFECTS[int(np.argmax(bad[:, j]))], evidence=certificates[j].instance)
 
 
 def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> Dichotomy:
@@ -159,9 +180,11 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
     Case B with the all-1s chi.  There is one class table per distinct null
     basis, built the first time the walk reaches a member with that basis; a
     chi is then one lookup per member tried.  Certificates on both sides are
-    re-verified mechanically: each Case-A instance directly against its
-    canonical coloring, the Case-B coloring by an exact all-nonzero count of 0
-    for every family member.
+    re-verified mechanically: every Case-A instance directly against the
+    colors its canonical coloring gives it, in one pass after the walk that
+    refuses the first defective certificate in walk order; the Case-B coloring
+    by an exact all-nonzero count of 0 for every family member, counted once
+    per distinct null basis and refused at the first member with an instance.
 
     The chi budget charges each chi what a search enumerating that chi's
     coloring would spend, |V| plus the solution count of each member it tries.
@@ -206,11 +229,10 @@ def decide_dichotomy(family, *, p: int | None = None, r: int | None = None) -> D
                 break
         if hit is None:
             coloring = canonical_coloring(space, chi, r)
-            for h in family:
-                if count_matches(h.null_basis, [color_tables(coloring, h.psi, require_nonzero=True)], space)[0]:
-                    raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
+            members = [(h.null_basis, color_tables(coloring, h.psi, require_nonzero=True)) for h in family]
+            if any(count_members(members, space)):
+                raise VerificationError("search claimed freeness but exhaustive recount disagrees", evidence=chi)
             return Dichotomy("B", p, r, space.n, (), chi)
         certificates.append(hit)
-    for cert in certificates:
-        _check_certificate(family[cert.pattern_index], canonical_coloring(space, cert.chi, r), cert.instance)
+    _check_certificates(family, certificates, space)
     return Dichotomy("A", p, r, space.n, tuple(certificates), None)

@@ -23,8 +23,9 @@ from .patterns import (
     color_tables,
     complexity1_check,
     count_matches,
+    count_members,
     first_instance,
-    pattern_stats,
+    pattern_stats,  # noqa: F401  (bound here for perfbench's tracer test, which reads removal.pattern_stats)
     solutions,
     subpattern_closure,
 )
@@ -93,6 +94,13 @@ def _theoretical_constants(eps: float, eps_rado: float, r: int, k_max: int, fami
     }
 
 
+def _closure_densities(closure, restricted: Coloring) -> list[Fraction]:
+    """Per closure member, its density in restricted, pattern_stats' density: one count per null basis."""
+    space = restricted.space
+    members = [(h.null_basis, color_tables(restricted, h.psi)) for h in closure]
+    return [Fraction(c, space.size**h.num_free) for h, c in zip(closure, count_members(members, space))]
+
+
 def induced_removal(
     phi: Coloring,
     family,
@@ -112,7 +120,11 @@ def induced_removal(
     sparse subfamily.  Case A raises CaseAAbort carrying the certificates.
     Case B patches V_1 \\ {0} with the witness canonical coloring and then
     proves the output family-free by an exact count of all-nonzero instances
-    (raising VerificationError with the first instance otherwise).
+    (raising VerificationError with the first instance otherwise).  The
+    closure densities and the freeness count take one count per distinct
+    null basis (patterns.count_members), so a family's members, which differ
+    only in psi, are counted together; each member still gets its own count,
+    refusal or instance, in member order.
 
     Every family member must pass the complexity-1 criterion unless
     acknowledge_complexity is set (required at p = 2, where the criterion is
@@ -141,14 +153,8 @@ def induced_removal(
     v1, v2 = recolor.model.v1, recolor.model.v2
 
     closure = subpattern_closure(family)
-    restricted = phi.restrict(0, v2)
-    densities = []
-    sparse = []
-    for idx, h in enumerate(closure):
-        d = pattern_stats(h, restricted).density
-        densities.append(float(d))
-        if d < eps_rado:
-            sparse.append(idx)
+    densities = _closure_densities(closure, phi.restrict(0, v2))
+    sparse = [idx for idx, d in enumerate(densities) if d < eps_rado]
     sub_family = [closure[i] for i in sparse]
 
     dichotomy = decide_dichotomy(sub_family, p=space.p, r=phi.r)
@@ -173,8 +179,9 @@ def induced_removal(
         f"changed {changed} points, budget (eps/2 + p^-codim)|V| = {float(budget) * space.size}"
     )
 
-    for h in family:
-        if count_matches(h.null_basis, [color_tables(out, h.psi, require_nonzero=True)], space)[0]:
+    members = [(h.null_basis, color_tables(out, h.psi, require_nonzero=True)) for h in family]
+    for h, count in zip(family, count_members(members, space)):
+        if count:
             instance = first_instance(h, out)
             raise VerificationError(
                 "patched coloring still has a family instance",
@@ -188,7 +195,7 @@ def induced_removal(
         dichotomy=dichotomy,
         closure_size=len(closure),
         sparse_indices=tuple(sparse),
-        closure_densities=tuple(densities),
+        closure_densities=tuple(float(d) for d in densities),
         changed_count=changed,
         eps=eps,
         eps_rado=eps_rado,

@@ -17,6 +17,7 @@ from removal_lab.patterns import (
     color_tables,
     complexity1_check,
     count_matches,
+    count_members,
     first_instance,
     generic_count,
     iter_solution_chunks,
@@ -489,6 +490,87 @@ def test_dual_count_on_points_lines_and_planes(case):
     assert patterns._dual_count(basis, direct, moduli, sp, store) == want
     assert patterns._dual_count(basis, direct, moduli, sp, store) == want
     assert count_matches(folded, table_sets, sp) == [_mask_count(folded, tables, sp) for tables in table_sets]
+
+
+# --- a family counted per distinct null basis -----------------------------------
+
+
+@st.composite
+def shared_basis_members(draw):
+    """(members, space): one to six (null basis, tables) members on one or two null bases.
+
+    The bases come from freely drawn rows, with a unit row sometimes added, which fixes
+    x_j = 0 and so gives the basis a zero column.  Each member reads one random 3-coloring
+    through its own psi, with entry 0 cleared or not, so sets on a zero column may be dead.
+    The space may be F_p^0, where the closure counts of a trivial model run.
+    """
+    p, n = draw(st.sampled_from([(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1)]))
+    sp = Space(p, n)
+    col = Coloring(sp, 3, np.array(draw(st.lists(st.integers(1, 3), min_size=sp.size, max_size=sp.size))))
+    bases = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k), max_size=2))
+        if draw(st.booleans()):
+            rows.append([int(j == draw(st.integers(0, k - 1))) for j in range(k)])
+        bases.append(Pattern(p, 3, np.array(rows, dtype=np.int64).reshape(-1, k), (1,) * k).null_basis)
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        basis = bases[draw(st.integers(0, len(bases) - 1))]
+        psi = draw(st.lists(st.integers(1, 3), min_size=basis.shape[1], max_size=basis.shape[1]))
+        members.append((basis, color_tables(col, psi, require_nonzero=draw(st.booleans()))))
+    return members, sp
+
+
+@given(shared_basis_members())
+@settings(max_examples=200, deadline=None)
+def test_grouped_counts_match_each_member_counted_alone(case):
+    members, sp = case
+    alone = [count_matches(basis, [tables], sp)[0] for basis, tables in members]
+    assert list(count_members(members, sp)) == alone == [_mask_count(basis, tables, sp) for basis, tables in members]
+
+
+def test_grouped_counts_merge_route_and_count_each_basis_once(monkeypatch):
+    # a 3-color family of x+y+z = 0 and one of x+2y = 0 at p = 3, interleaved: two bases, one count each
+    sp = Space(3, 3)
+    col = Coloring(sp, 3, np.random.default_rng(5).integers(1, 4, sp.size))
+    family = [Pattern(3, 3, rows, (c,) * len(rows[0])) for c in (1, 2, 3) for rows in ([[1, 1, 1]], [[1, 2]])]
+    members = [(h.null_basis, color_tables(col, h.psi, require_nonzero=True)) for h in family]
+    expected = [pattern_stats(h, col).nonzero_instance_count for h in family]
+    calls = {name: [] for name in ("_merge_columns", "_route", "_count")}
+    for name, seen in calls.items():
+        monkeypatch.setattr(patterns, name, lambda *a, f=getattr(patterns, name), seen=seen: seen.append(a[0]) or f(*a))
+    assert list(count_members(members, sp)) == expected
+    assert [len(seen) for seen in calls.values()] == [2, 2, 2]
+
+
+# six pairwise independent columns in F_2^3, and a zero column: merged to (3, 6), so counting
+# a live set enumerates |V|^3 tuples, since l = 3 is not below m = 3
+WIDE_F2 = np.array([[1, 0, 0, 1, 0, 1, 0], [0, 1, 0, 1, 1, 0, 0], [0, 0, 1, 0, 1, 1, 0]], dtype=np.int64)
+
+
+def test_grouped_counts_refuse_where_the_member_loop_does(monkeypatch):
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 1000)
+    sp = Space(2, 4)  # 16^3 = 4096 tuples for WIDE_F2, over the cap
+    ones = np.ones(sp.size, dtype=bool)
+    dead = [ones] * 6 + [np.arange(sp.size) != 0]  # x_7 = 0 is unmatched
+    live = [ones] * 7
+    point = np.ones((1, 1), dtype=np.int64)
+    # a dead set is not routed, before or after a live member of another basis
+    assert list(count_members([(WIDE_F2, dead), (point, [ones]), (WIDE_F2, dead)], sp)) == [0, 16, 0]
+    # a dead set before a refused live member of its basis: the refusal the member loop raises
+    counts = count_members([(WIDE_F2, dead), (WIDE_F2, live)], sp)
+    assert next(counts) == 0 == count_matches(WIDE_F2, [dead], sp)[0]
+    with pytest.raises(ResourceCapError, match="solution enumeration needs 4096 tuples, cap is 1000") as grouped:
+        next(counts)
+    with pytest.raises(ResourceCapError) as alone:
+        count_matches(WIDE_F2, [live], sp)
+    assert (grouped.value.requested, grouped.value.cap) == (alone.value.requested, alone.value.cap) == (4096, 1000)
+    # a caller that stops at an earlier member's count routes no later basis
+    counts = count_members([(point, [ones]), (WIDE_F2, live)], sp)
+    assert next(counts) == 16
+    with pytest.raises(ResourceCapError):
+        next(counts)
 
 
 # --- stats ------------------------------------------------------------------

@@ -103,21 +103,81 @@ def test_case_b_witness_is_lex_first_failing_chi():
 )
 def test_certificate_defects_are_refused_with_the_instance(instance, message):
     # on F_3^3 under chi (1, 2), point 1 = e_0 and point 3 = e_1 take color 1, point 2 = 2 e_0 color 2
-    col = canonical_coloring(Space(3, 3), (1, 2))
+    space = Space(3, 3)
     h = Pattern(3, 2, [[1, 1, 1]], (1, 1, 1))
-    ramsey._check_certificate(h, col, (1, 1, 1))
+    ramsey._check_certificates([h], [ChiCertificate((1, 2), 0, (1, 1, 1))], space)
     with pytest.raises(VerificationError, match=message) as info:
-        ramsey._check_certificate(h, col, instance)
+        ramsey._check_certificates([h], [ChiCertificate((1, 2), 0, instance)], space)
     assert info.value.evidence == instance
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3), (3, 2, 1, 0)], ids=["walk", "swapped", "reversed"])
+def test_certificate_check_refuses_the_first_defect_in_walk_order(order):
+    # two members of different k; one sound certificate per member and two defective ones
+    space = Space(3, 3)
+    family = [Pattern(3, 2, [[1, 1, 1]], (1, 1, 1)), Pattern(3, 2, [[1, 2]], (2, 2))]
+    certs = [
+        ChiCertificate((1, 2), 0, (1, 1, 1)),
+        ChiCertificate((2, 1), 1, (1, 1)),  # x + 2y = 3 e_0 = 0, and lead 1 is colored 2 under (2, 1)
+        ChiCertificate((1, 1), 0, (0, 0, 0)),  # touches zero
+        ChiCertificate((2, 2), 1, (1, 3)),  # e_0 + 2 e_1 != 0: violates the relations
+    ]
+    walk = [certs[i] for i in order]
+    first = next(c for c in walk if c.instance in ((0, 0, 0), (1, 3)))
+    message = "touches zero" if first.instance == (0, 0, 0) else "violates the linear relations"
+    with pytest.raises(VerificationError, match=message) as info:
+        ramsey._check_certificates(family, walk, space)
+    assert info.value.evidence == first.instance
+    ramsey._check_certificates(family, [certs[0], certs[1]], space)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 2)])
+def test_certificate_colors_are_the_canonical_colors(p, r):
+    # a certificate passes the color check exactly when its canonical coloring gives psi at the instance
+    space = Space(p, 3)
+    rng = np.random.default_rng([p, r])
+    rows = [[1, 1, 1]]
+    xs = [x for x in np.concatenate(list(iter_solution_chunks(null_space(rows, p), space))) if x.all()]
+    for chi in product(range(1, r + 1), repeat=p - 1):
+        x = tuple(int(v) for v in xs[rng.integers(len(xs))])
+        psi = tuple(int(c) for c in canonical_coloring(space, chi, r).values[list(x)])
+        ramsey._check_certificates([Pattern(p, r, rows, psi)], [ChiCertificate(chi, 0, x)], space)
+        other = (psi[0] % r + 1, *psi[1:])
+        with pytest.raises(VerificationError, match="colors do not match"):
+            ramsey._check_certificates([Pattern(p, r, rows, other)], [ChiCertificate(chi, 0, x)], space)
 
 
 def test_case_b_recount_disagreement_is_refused_with_the_chi(monkeypatch):
     fam = [Pattern(3, 2, [[1, 1, 1]], (1, 1, 1))]
     chi = decide_dichotomy(fam).chi
-    monkeypatch.setattr(ramsey, "count_matches", lambda basis, table_sets, space: [1] * len(table_sets))
+    monkeypatch.setattr(ramsey, "count_members", lambda members, space: iter([1] * len(members)))
     with pytest.raises(VerificationError, match="recount disagrees") as info:
         decide_dichotomy(fam)
     assert info.value.evidence == chi
+
+
+# six pairwise independent columns in F_2^3 (rows [I_3 | C], C of weight-2 columns): the
+# all-nonzero count enumerates |V|^3 tuples, since l = 3 is not below m = 3
+WIDE_ROWS_F2 = [[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("wide_first", [False, True], ids=["instance-first", "refused-first"])
+def test_case_b_recount_reports_in_member_order(monkeypatch, wide_first):
+    # the walk is made to miss every class, so chi (1,) reaches the recount; x alone has 63
+    # instances on F_2^6, and the wide member's basis is over a cap of 10^5 (64^3 tuples)
+    family = [Pattern(2, 1, np.zeros((0, 1), dtype=np.int64), (1,)), Pattern(2, 1, WIDE_ROWS_F2, (1,) * 6)]
+    if wide_first:
+        family.reverse()
+    monkeypatch.setattr(ramsey, "_class_table", lambda basis, space: (np.zeros((0, basis.shape[1]), dtype=np.int64),) * 2)
+    monkeypatch.setattr(patterns, "ENUMERATION_CAP", 10**5)
+    if wide_first:
+        with pytest.raises(ResourceCapError) as exc:
+            decide_dichotomy(family)
+        assert exc.value.requested == 64**3
+    else:
+        with pytest.raises(VerificationError, match="recount disagrees") as info:
+            decide_dichotomy(family)
+        assert info.value.evidence == (1,)
 
 
 def test_case_a_has_certificate_for_every_chi():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from removal_lab import regularize, removal
+from removal_lab import patterns, regularize, removal
 from removal_lab.errors import CaseAAbort, ResourceCapError, VerificationError
 from removal_lab.fields import Subspace
-from removal_lab.patterns import Pattern, first_instance, pattern_stats
-from removal_lab.ramsey import canonical_coloring
+from removal_lab.patterns import Pattern, first_instance, pattern_stats, subpattern_closure
+from removal_lab.ramsey import Dichotomy, canonical_coloring
 from removal_lab.removal import (
     count_inhomogeneous,
     induced_removal,
@@ -123,6 +125,61 @@ def test_removal_scans_each_coset_family_once(monkeypatch):
     assert rep.verified_free and rep.recolor.model.v1.dim > 0
     assert keys
     assert len(set(keys)) == len(keys), f"{len(keys)} scans, {len(set(keys))} distinct"
+
+
+@st.composite
+def closures_and_colorings(draw):
+    """(closure, coloring): the subpattern closure of one or two members with freely drawn rows, k <= 3,
+    and a random coloring of F_p^n, n <= 2; n = 0 is the restriction of a trivial model."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    r = draw(st.integers(1, 3))
+    family = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k), max_size=2))
+        psi = draw(st.lists(st.integers(1, r), min_size=k, max_size=k))
+        family.append(Pattern(p, r, np.array(rows, dtype=np.int64).reshape(-1, k), tuple(psi)))
+    sp = Space(p, draw(st.integers(0, 2)))
+    values = draw(st.lists(st.integers(1, r), min_size=sp.size, max_size=sp.size))
+    return subpattern_closure(family), Coloring(sp, r, np.array(values, dtype=np.int64))
+
+
+@given(closures_and_colorings())
+@settings(max_examples=150, deadline=None)
+def test_closure_densities_are_the_pattern_stats_densities(case):
+    closure, coloring = case
+    densities = removal._closure_densities(closure, coloring)
+    assert [float(d) for d in densities] == [float(pattern_stats(h, coloring).density) for h in closure]
+
+
+# six pairwise independent null-basis columns in F_2^3 (rows [C^T | I_3], C of weight-2 columns):
+# its all-nonzero count enumerates |V|^3 tuples, since l = 3 is not below m = 3
+WIDE_ROWS_F2 = [[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0], [1, 0, 1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("wide_first", [False, True], ids=["instance-first", "refused-first"])
+def test_freeness_recheck_reports_in_member_order(monkeypatch, wide_first):
+    # a Case B whose chi does not clean phi: x alone has 15 instances on the all-1 F_2^4, and the
+    # wide member's basis is over a cap of 1000 (16^3 tuples), lowered once the dichotomy is decided
+    sp = Space(2, 4)
+    phi = Coloring(sp, 1, np.ones(sp.size, dtype=np.int64))
+    family = [Pattern(2, 1, np.zeros((0, 1), dtype=np.int64), (1,)), Pattern(2, 1, WIDE_ROWS_F2, (1,) * 6)]
+    if wide_first:
+        family.reverse()
+
+    def case_b(sub_family, p, r):
+        monkeypatch.setattr(patterns, "ENUMERATION_CAP", 1000)
+        return Dichotomy("B", p, r, 1, (), (1,))
+
+    monkeypatch.setattr(removal, "decide_dichotomy", case_b)
+    if wide_first:
+        with pytest.raises(ResourceCapError) as exc:
+            induced_removal(phi, family, 0.5, acknowledge_complexity=True)
+        assert exc.value.requested == 16**3
+    else:
+        with pytest.raises(VerificationError, match="still has a family instance") as info:
+            induced_removal(phi, family, 0.5, acknowledge_complexity=True)
+        assert info.value.evidence == {"pattern_psi": [1], "instance": [1]}
 
 
 def test_removal_validates_inputs():
